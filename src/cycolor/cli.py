@@ -10,7 +10,9 @@ Exit codes:
     1  checked and false (coloring invalid, not colorable, audit failed)
     2  usage error (bad flags or parameter values)
     3  input/output or file-format error
-    4  search gave up on a budget before reaching an answer
+    4  search gave up before reaching an answer: a node or time budget ran
+       out, or the exact chromatic-index search refused a graph over its
+       edge limit
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .errors import (
     DuplicateEdgeError,
     LengthMismatchError,
     MOutOfRangeError,
+    SearchBudgetExceededError,
     SelfLoopError,
     SizeOutOfRangeError,
     TooLargeError,
@@ -302,6 +305,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _FORMAT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except SearchBudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except CycolorError as exc:  # anything else domain-level is unexpected
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_IO

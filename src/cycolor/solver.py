@@ -11,6 +11,15 @@ search over edge assignments with three sound prunes:
   (iii) the number of still-unassigned edges must cover the number of
         still-unused colors (surjectivity).
 
+The search is iterative: an explicit stack holds the color placed at each
+edge position, over integer vertex ids and bitmask palettes, so the depth
+of a graph is not bounded by Python's recursion limit. The three prunes
+are one step predicate (`_make_step`), which `certificate_prefix_survives`
+replays too.
+Prune (ii) looks the span up in a memo made for each search and keyed on
+the palette rotated so that its lowest color is color 1 (`_arc_span_kernel`);
+a miss is computed by `cyclic_span`, the one definition of an arc.
+
 Certificates are re-verified with the checker before being returned, and
 "not colorable" is only ever reported after an exhaustive search; running
 out of budget is its own outcome.
@@ -30,7 +39,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -102,8 +111,71 @@ def _mask_span(mask: int, t: int) -> int:
     return cyclic_span(ColorSet.of(t, members))
 
 
-class _Budget(Exception):
-    pass
+def _arc_span_kernel(t: int) -> Callable[[int], int]:
+    """A memoized `_mask_span` for one palette size t.
+
+    The returned function maps a nonempty palette bitmask to its cyclic
+    span; a palette fits an arc of length k iff its span is <= k. Span does
+    not change under rotation of the color cycle, so the memo is keyed on
+    the mask rotated until its lowest color is color 1, which folds the t
+    rotations of a palette into one entry. The memo lives only as long as
+    the returned function: each search pays for its own misses.
+    """
+    spans: dict[int, int] = {}
+
+    def span(mask: int) -> int:
+        key = mask >> ((mask & -mask).bit_length() - 1)
+        got = spans.get(key)
+        if got is None:
+            got = spans[key] = _mask_span(key, t)
+        return got
+
+    return span
+
+
+# Which prune cut a step; `_make_step` returns one of these.
+_FITS, _CUT_PROPER, _CUT_ARC, _CUT_ONTO = 0, 1, 2, 3
+
+
+def _layout(
+    g: Graph, cfg: SolverConfig
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The edge order with integer vertex ids: position p places edge
+    order[p], whose endpoints are eu[p] and ev[p]; degree is per vertex id."""
+    order = _edge_positions(g, cfg)
+    vid = {v: i for i, v in enumerate(g.vertices)}
+    eu = [vid[g.edges[e][0]] for e in order]
+    ev = [vid[g.edges[e][1]] for e in order]
+    return order, eu, ev, [len(g.adjacency[v]) for v in g.vertices]
+
+
+def _make_step(
+    eu: list[int], ev: list[int], degree: list[int], t: int, properness_only: bool
+) -> Callable[[int, int, list[int], int], int]:
+    """The prune predicate the search runs at every step.
+
+    step(pos, bit, masks, used) judges placing color bit (bit c-1 = color c)
+    at position pos, given the vertex palettes `masks` before the placement
+    and the number of distinct colors `used` after it. It returns _FITS or
+    the first prune that cuts: _CUT_PROPER (i), _CUT_ARC (ii), _CUT_ONTO (iii).
+    """
+    n_edges = len(eu)
+    span = _arc_span_kernel(t)
+
+    def step(pos: int, bit: int, masks: list[int], used: int) -> int:
+        mu = masks[eu[pos]]
+        mv = masks[ev[pos]]
+        if (mu | mv) & bit:
+            return _CUT_PROPER
+        if properness_only:
+            return _FITS
+        if span(mu | bit) > degree[eu[pos]] or span(mv | bit) > degree[ev[pos]]:
+            return _CUT_ARC
+        if n_edges - pos - 1 < t - used:
+            return _CUT_ONTO
+        return _FITS
+
+    return step
 
 
 def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcome:
@@ -129,62 +201,61 @@ def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcom
             reason=f"t={t} exceeds edge count {n_edges}: some color must go unused",
         )
 
-    order = _edge_positions(g, cfg)
-    assignment = [0] * n_edges
-    vertex_mask: dict[str, int] = {v: 0 for v in g.vertices}
+    order, eu, ev, degree = _layout(g, cfg)
+    step = _make_step(eu, ev, degree, t, cfg.properness_only)
+    masks = [0] * len(g.vertices)
     color_count = [0] * (t + 1)
-    state = {"nodes": 0, "used": 0}
+    placed = [0] * n_edges  # color at each position
+    used = nodes = 0
+    budget = cfg.node_budget
     deadline = None if cfg.time_budget is None else time.monotonic() + cfg.time_budget
+    # Symmetry breaking: color rotation maps any valid coloring to one whose
+    # first edge has color 1.
+    first_top = 1 if cfg.symmetry_breaking else t
 
-    def tick() -> None:
-        state["nodes"] += 1
-        if cfg.node_budget is not None and state["nodes"] > cfg.node_budget:
-            raise _Budget(f"node budget {cfg.node_budget} exhausted")
-        if deadline is not None and state["nodes"] % 1024 == 0 and time.monotonic() > deadline:
-            raise _Budget(f"time budget {cfg.time_budget}s exhausted")
-
-    def place(pos: int) -> bool:
-        if pos == n_edges:
-            return cfg.properness_only or state["used"] == t
-        edge_idx = order[pos]
-        u, v = g.edges[edge_idx]
-        first_fixed = cfg.symmetry_breaking and pos == 0
-        candidates = (1,) if first_fixed else range(1, t + 1)
-        for color in candidates:
+    pos, color = 0, 1  # the next candidate color at the current position
+    while pos < n_edges:
+        top = first_top if pos == 0 else t
+        while color <= top:
             bit = 1 << (color - 1)
-            if vertex_mask[u] & bit or vertex_mask[v] & bit:
-                continue  # prune (i)
-            tick()
-            vertex_mask[u] |= bit
-            vertex_mask[v] |= bit
-            assignment[edge_idx] = color
-            color_count[color] += 1
-            if color_count[color] == 1:
-                state["used"] += 1
-            ok = True
-            if not cfg.properness_only:
-                for w in (u, v):  # prune (ii)
-                    if _mask_span(vertex_mask[w], t) > len(g.adjacency[w]):
-                        ok = False
-                        break
-                if ok and n_edges - (pos + 1) < t - state["used"]:
-                    ok = False  # prune (iii)
-            if ok and place(pos + 1):
-                return True
+            cut = step(pos, bit, masks, used + (color_count[color] == 0))
+            if cut != _CUT_PROPER:
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    reason = f"node budget {budget} exhausted"
+                    return SearchOutcome(BUDGET_EXCEEDED, reason=reason, nodes=nodes)
+                if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
+                    reason = f"time budget {cfg.time_budget}s exhausted"
+                    return SearchOutcome(BUDGET_EXCEEDED, reason=reason, nodes=nodes)
+                if cut == _FITS:
+                    break
+            color += 1
+        else:  # every color at pos is cut: undo the previous position
+            if pos == 0:
+                return SearchOutcome(NOT_COLORABLE, reason="exhaustive search", nodes=nodes)
+            pos -= 1
+            color = placed[pos]
+            bit = ~(1 << (color - 1))
+            masks[eu[pos]] &= bit
+            masks[ev[pos]] &= bit
             color_count[color] -= 1
             if color_count[color] == 0:
-                state["used"] -= 1
-            assignment[edge_idx] = 0
-            vertex_mask[u] &= ~bit
-            vertex_mask[v] &= ~bit
-        return False
+                used -= 1
+            color += 1
+            continue
+        masks[eu[pos]] |= bit
+        masks[ev[pos]] |= bit
+        if color_count[color] == 0:
+            used += 1
+        color_count[color] += 1
+        placed[pos] = color
+        pos, color = pos + 1, 1
 
-    try:
-        found = place(0)
-    except _Budget as exc:
-        return SearchOutcome(BUDGET_EXCEEDED, reason=str(exc), nodes=state["nodes"])
-    if not found:
-        return SearchOutcome(NOT_COLORABLE, reason="exhaustive search", nodes=state["nodes"])
+    # Every edge is placed. Without properness_only, prune (iii) at the last
+    # position has already made sure that every color is used.
+    assignment = [0] * n_edges
+    for p, e in enumerate(order):
+        assignment[e] = placed[p]
     cert = Coloring(t=t, colors=tuple(assignment))
     if cfg.properness_only:
         for v in g.vertices:
@@ -195,41 +266,33 @@ def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcom
         verdict = check_cyclically_interval(g, cert)
         if not verdict.ok:
             raise CycolorError("internal: certificate failed re-verification")
-    return SearchOutcome(COLORABLE, coloring=cert, nodes=state["nodes"])
+    return SearchOutcome(COLORABLE, coloring=cert, nodes=nodes)
 
 
 def certificate_prefix_survives(
     g: Graph, cert: Coloring, cfg: Optional[SolverConfig] = None
 ) -> bool:
     """Replay a complete coloring along the solver's edge order and report
-    whether every prefix clears the three prunes.
+    whether every prefix clears the search's own prune predicate.
 
     A sound pruner never cuts a prefix of a valid coloring, so this must
     return True for every certificate that passes the checker (the tests
-    lean on exactly that). Only the pruning predicates are replayed — the
+    lean on exactly that). Only the pruning predicate is replayed — the
     symmetry-breaking restriction is a search-space choice, not a prune.
     """
     cfg = cfg or SolverConfig()
-    t = cert.t
-    order = _edge_positions(g, cfg)
-    vertex_mask: dict[str, int] = {v: 0 for v in g.vertices}
+    order, eu, ev, degree = _layout(g, cfg)
+    step = _make_step(eu, ev, degree, cert.t, cfg.properness_only)
+    masks = [0] * len(g.vertices)
     used: set[int] = set()
-    n_edges = len(g.edges)
     for pos, edge_idx in enumerate(order):
         color = cert.colors[edge_idx]
-        bit = 1 << (color - 1)
-        u, v = g.edges[edge_idx]
-        if vertex_mask[u] & bit or vertex_mask[v] & bit:
-            return False  # prune (i)
-        vertex_mask[u] |= bit
-        vertex_mask[v] |= bit
         used.add(color)
-        if not cfg.properness_only:
-            for w in (u, v):
-                if _mask_span(vertex_mask[w], t) > len(g.adjacency[w]):
-                    return False  # prune (ii)
-            if n_edges - (pos + 1) < t - len(used):
-                return False  # prune (iii)
+        bit = 1 << (color - 1)
+        if step(pos, bit, masks, len(used)) != _FITS:
+            return False
+        masks[eu[pos]] |= bit
+        masks[ev[pos]] |= bit
     return True
 
 

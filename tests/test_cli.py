@@ -100,6 +100,21 @@ def test_solve_budget_exit(tmp_path, capsys):
     assert payload["status"] == "budget-exceeded"
 
 
+def test_solve_deep_graph(tmp_path, capsys):
+    gp = _write_graph(tmp_path, gen_path(1200))
+    assert main(["solve", "--graph", gp, "--t", "2"]) == EXIT_OK
+    cert = coloring_mod.from_json(capsys.readouterr().out)
+    assert check_cyclically_interval(gen_path(1200), cert).ok
+
+
+def test_spectrum_past_the_chromatic_index_search_limit(tmp_path, capsys):
+    # An odd cycle over 64 edges: the exact chromatic-index search refuses it.
+    gp = _write_graph(tmp_path, gen_cycle(71))
+    assert main(["spectrum", "--graph", gp]) == EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert "error:" in err and "internal error" not in err
+
+
 def test_solve_flag_variants(tmp_path, capsys):
     gp = _write_graph(tmp_path, gen_cycle(5))
     argv = ["solve", "--graph", gp, "--t", "3", "--edge-order", "input", "--no-symmetry-breaking"]

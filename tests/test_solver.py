@@ -15,12 +15,14 @@ from cycolor.families import (
     gen_star,
 )
 from cycolor.graphs import build_graph
+from cycolor.intervals import ColorSet, cyclic_span
 from cycolor.solver import (
     BUDGET_EXCEEDED,
     COLORABLE,
     NOT_COLORABLE,
     SearchOutcome,
     SolverConfig,
+    _arc_span_kernel,
     brute_force_decide,
     certificate_prefix_survives,
     count_colorings,
@@ -262,3 +264,42 @@ def test_spectrum_of_random_trees_is_nonempty():
 def test_outcome_is_a_value_object():
     out = SearchOutcome(NOT_COLORABLE, reason="x")
     assert out.coloring is None and out.nodes == 0
+
+
+def test_node_counts_are_pinned():
+    """Pin the search order: verdicts and node counts of the default search.
+
+    These numbers pin how the search walks, not whether it is right (the
+    verdicts are backed by the brute-force oracle and the HiGHS references).
+    A change that should leave the search alone, such as a faster prune
+    test, must leave every count here unchanged.
+    """
+    expected = [
+        (gen_gm(2), {4: (COLORABLE, 9), 5: (COLORABLE, 10), 6: (COLORABLE, 22),
+                     7: (NOT_COLORABLE, 733), 8: (NOT_COLORABLE, 394)}),
+        (gen_gm(3), {9: (COLORABLE, 127), 10: (COLORABLE, 1024), 11: (COLORABLE, 696),
+                     12: (COLORABLE, 673), 13: (COLORABLE, 6600)}),
+    ]
+    for g, table in expected:
+        for t, (status, nodes) in table.items():
+            out = decide(g, t)
+            assert (out.status, out.nodes) == (status, nodes), t
+    out = decide(gen_gm(3), 14, SolverConfig(node_budget=10_000))
+    assert (out.status, out.nodes) == (BUDGET_EXCEEDED, 10_001)
+
+
+def test_arc_span_kernel_matches_the_interval_algebra():
+    """The rotated memo key gives the same fit answer as the unrotated span."""
+    for t in range(1, 13):
+        span = _arc_span_kernel(t)
+        for mask in range(1, 1 << t):
+            members = [c for c in range(1, t + 1) if mask >> (c - 1) & 1]
+            want = cyclic_span(ColorSet.of(t, members))
+            got = span(mask)
+            for k in range(1, t + 1):
+                assert (got <= k) == (want <= k), (t, members, k)
+
+
+def test_deep_graphs_do_not_exhaust_the_call_stack():
+    out = decide(gen_path(1200), 2)
+    assert (out.status, out.nodes) == (COLORABLE, 1200)
