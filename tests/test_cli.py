@@ -47,12 +47,37 @@ def test_gen_other_families(capsys):
         graphs.from_json(capsys.readouterr().out)
 
 
-def test_gen_usage_errors(capsys):
-    assert main(["gen", "--family", "gm"]) == EXIT_USAGE  # missing --m
-    assert main(["gen", "--family", "gm", "--m", "1"]) == EXIT_USAGE  # m too small
-    assert main(["gen", "--family", "tree", "--n", "5"]) == EXIT_USAGE  # missing --seed
-    err = capsys.readouterr().err
-    assert "error:" in err
+def test_gen_usage_errors(tmp_path, capsys):
+    # Every usage-error path of the CLI: a missing flag or a parameter out of range.
+    gp = _write_graph(tmp_path, gen_gm(2))
+    rows = [
+        ["gen", "--family", "gm"],  # missing --m
+        ["gen", "--family", "gm", "--m", "1"],
+        ["gen", "--family", "path"],  # missing --n
+        ["gen", "--family", "path", "--n", "0"],
+        ["gen", "--family", "cycle", "--n", "2"],
+        ["gen", "--family", "star", "--n", "0"],
+        ["gen", "--family", "kab", "--a", "2"],  # missing --b
+        ["gen", "--family", "kab", "--a", "0", "--b", "2"],
+        ["gen", "--family", "tree", "--n", "5"],  # missing --seed
+        ["gen", "--family", "tree", "--n", "0", "--seed", "1"],
+        ["solve", "--graph", gp, "--t", "0"],
+        ["solve", "--graph", gp, "--t", "4", "--budget-nodes", "0"],
+        ["solve", "--graph", gp, "--t", "4", "--budget-seconds", "0"],
+        ["spectrum", "--graph", gp, "--budget-nodes", "0"],
+        ["spectrum", "--graph", gp, "--budget-seconds", "-1"],
+        ["export-cnf", "--graph", gp, "--t", "0"],
+        ["audit", "--m-min", "1", "--m-max", "3"],
+        ["audit", "--m-min", "9", "--m-max", "8"],
+    ]
+    for argv in rows:
+        assert main(argv) == EXIT_USAGE, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "internal error" not in err, argv
+
+    # an empty t range decides nothing
+    assert main(["spectrum", "--graph", gp, "--t-min", "10", "--t-max", "5"]) == EXIT_CHECKED_FALSE
+    capsys.readouterr()
 
 
 def test_check_accepts_and_rejects(tmp_path, capsys):
@@ -182,20 +207,59 @@ def test_export_dot(tmp_path, capsys):
 
 
 def test_io_error_exits(tmp_path, capsys):
+    # Every input-error path of the CLI: a file that cannot be read, or a
+    # graph or coloring that is malformed or not accepted.
+    def write(name, payload):
+        path = tmp_path / name
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        return str(path)
+
     missing = str(tmp_path / "nope.json")
-    assert main(["check", "--graph", missing, "--coloring", missing]) == EXIT_IO
-
-    mangled = tmp_path / "mangled.json"
-    mangled.write_text("{not json", encoding="utf-8")
-    assert main(["solve", "--graph", str(mangled), "--t", "2"]) == EXIT_IO
-
-    wrong_shape = tmp_path / "shape.json"
-    wrong_shape.write_text(json.dumps({"vertices": ["a"], "edges": [["a", "zzz"]]}))
-    assert main(["export-cnf", "--graph", str(wrong_shape), "--t", "2"]) == EXIT_IO
-
     gp = _write_graph(tmp_path, gen_cycle(4))
-    cp = _write_coloring(tmp_path, coloring_mod.Coloring(2, (1, 2)))
-    assert main(["check", "--graph", gp, "--coloring", cp]) == EXIT_IO  # length mismatch
+    split = write("split.json", {"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["c", "d"]]})
+    split_coloring = _write_coloring(tmp_path, coloring_mod.Coloring(1, (1, 1)), "split-c.json")
+    graph_rows = {
+        "mangled": "{not json",
+        "not-an-object": [],
+        "no-edges-key": {"vertices": ["a"]},
+        "vertex-not-a-string": {"vertices": [1], "edges": []},
+        "edge-not-a-pair": {"vertices": ["a", "b"], "edges": [["a"]]},
+        "unknown-endpoint": {"vertices": ["a"], "edges": [["a", "zzz"]]},
+        "duplicate-vertex": {"vertices": ["a", "a"], "edges": []},
+        "duplicate-edge": {"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]},
+        "self-loop": {"vertices": ["a"], "edges": [["a", "a"]]},
+    }
+    coloring_rows = {
+        "mangled": "{not json",
+        "not-an-object": [],
+        "colors-not-a-list": {"t": 2, "colors": 1},
+        "t-not-positive": {"t": 0, "colors": []},
+        "color-out-of-range": {"t": 2, "colors": [1, 2, 3, 1]},
+        "too-short": {"t": 2, "colors": [1, 2]},
+    }
+    rows = [
+        ["check", "--graph", missing, "--coloring", missing],
+        ["check", "--graph", gp, "--coloring", missing],
+        ["solve", "--graph", str(tmp_path), "--t", "2"],  # a directory
+        ["solve", "--graph", split, "--t", "2"],
+        ["spectrum", "--graph", split],
+        ["check", "--graph", split, "--coloring", split_coloring],
+        ["export-cnf", "--graph", split, "--t", "2"],
+    ]
+    for name, payload in graph_rows.items():
+        path = write(f"graph-{name}.json", payload)
+        rows += [["solve", "--graph", path, "--t", "2"], ["export-cnf", "--graph", path, "--t", "2"]]
+    for name, payload in coloring_rows.items():
+        path = write(f"coloring-{name}.json", payload)
+        rows += [["check", "--graph", gp, "--coloring", path]]
+    for argv in rows:
+        assert main(argv) == EXIT_IO, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "internal error" not in err, argv
+
+    # a graph without edges has no chromatic index, so no spectrum window
+    edgeless = write("edgeless.json", {"vertices": ["a"], "edges": []})
+    assert main(["spectrum", "--graph", edgeless]) == EXIT_USAGE
     capsys.readouterr()
 
 
