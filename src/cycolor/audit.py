@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import AuditParamsError, CycolorError
+from .errors import InternalError, UsageError
 from .intervals import CyclicIntervalSpec, intcyc_contains
 
 STEP_BOUNDS = "mid-color-bounds"
@@ -72,11 +72,11 @@ class AuditParams:
 
     def __post_init__(self) -> None:
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 2:
-            raise AuditParamsError(f"m must be an integer >= 2, got {self.m!r}")
+            raise UsageError(f"m must be an integer >= 2, got {self.m!r}")
         if not isinstance(self.k0, int) or isinstance(self.k0, bool):
-            raise AuditParamsError(f"k0 must be an integer, got {self.k0!r}")
+            raise UsageError(f"k0 must be an integer, got {self.k0!r}")
         if not 0 <= self.k0 <= self.m**3 - self.m**2:
-            raise AuditParamsError(
+            raise UsageError(
                 f"k0={self.k0} outside [0, {self.m**3 - self.m**2}] for m={self.m}"
             )
 
@@ -279,14 +279,14 @@ def audit_range(m_lo: int, m_hi: int, exhaustive_limit: int = 12) -> RangeSummar
     predict.
     """
     if not isinstance(m_lo, int) or not isinstance(m_hi, int) or not 2 <= m_lo <= m_hi:
-        raise AuditParamsError(f"need 2 <= m_lo <= m_hi, got ({m_lo!r}, {m_hi!r})")
+        raise UsageError(f"need 2 <= m_lo <= m_hi, got ({m_lo!r}, {m_hi!r})")
     entries: list[RangeEntry] = []
     for m in range(m_lo, m_hi + 1):
         k0_hi = m**3 - m**2
         rep_lo = audit(AuditParams(m=m, k0=0))
         rep_hi = audit(AuditParams(m=m, k0=k0_hi))
         if rep_lo.passed and not rep_hi.passed:
-            raise CycolorError(
+            raise InternalError(
                 f"monotonicity violated at m={m}: k0=0 passes but k0={k0_hi} fails"
             )
         exhaustive = m <= exhaustive_limit
@@ -294,9 +294,9 @@ def audit_range(m_lo: int, m_hi: int, exhaustive_limit: int = 12) -> RangeSummar
             results = [audit(AuditParams(m=m, k0=k0)).passed for k0 in range(k0_hi + 1)]
             for earlier, later in zip(results, results[1:]):
                 if earlier and not later:
-                    raise CycolorError(f"k0 sweep at m={m} is not upward-closed")
+                    raise InternalError(f"k0 sweep at m={m} is not upward-closed")
             if results[0] != rep_lo.passed or results[-1] != rep_hi.passed:
-                raise CycolorError(f"k0 sweep endpoints disagree with reports at m={m}")
+                raise InternalError(f"k0 sweep endpoints disagree with reports at m={m}")
         passed = rep_lo.passed and rep_hi.passed
         entries.append(
             RangeEntry(

@@ -8,11 +8,16 @@ clean.
 Exit codes:
     0  success / checked and true
     1  checked and false (coloring invalid, not colorable, audit failed)
-    2  usage error (bad flags or parameter values)
-    3  input/output or file-format error
-    4  search gave up before reaching an answer: a node or time budget ran
-       out, or the exact chromatic-index search refused a graph over its
-       edge limit
+    2  UsageError: a flag is missing, or a parameter is malformed or out
+       of range
+    3  InputError: a file cannot be read or written, or a graph or
+       coloring is malformed or not accepted; also InternalError, a failed
+       self-check, reported as "internal error"
+    4  the search gave up before reaching an answer: a node or time budget
+       ran out, or BudgetError (the exact chromatic-index search refused a
+       graph over its edge limit)
+
+The error kind alone decides the exit code (see `cycolor.errors`).
 """
 
 from __future__ import annotations
@@ -26,45 +31,13 @@ from . import cnf as cnf_mod
 from . import coloring as coloring_mod
 from . import families, graphs, solver
 from .audit import audit_range, summary_to_dict
-from .errors import (
-    AuditParamsError,
-    ColorCountError,
-    ColorIndexError,
-    CycolorError,
-    DisconnectedError,
-    DuplicateEdgeError,
-    LengthMismatchError,
-    MOutOfRangeError,
-    SearchBudgetExceededError,
-    SelfLoopError,
-    SizeOutOfRangeError,
-    TooLargeError,
-    UnknownLabelError,
-)
+from .errors import BudgetError, CycolorError, InputError, UsageError
 
 EXIT_OK = 0
 EXIT_CHECKED_FALSE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_BUDGET = 4
-
-_USAGE_ERRORS = (MOutOfRangeError, SizeOutOfRangeError, ColorCountError, AuditParamsError)
-_FORMAT_ERRORS = (
-    UnknownLabelError,
-    DuplicateEdgeError,
-    SelfLoopError,
-    ColorIndexError,
-    LengthMismatchError,
-    DisconnectedError,
-    TooLargeError,
-)
-
-
-class _CliFailure(Exception):
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
-
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
@@ -74,7 +47,7 @@ def _emit(text: str, out: Optional[str]) -> None:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _CliFailure(EXIT_IO, f"cannot write {out}: {exc}") from exc
+            raise InputError(f"cannot write {out}: {exc}") from exc
 
 
 def _read(path: str) -> str:
@@ -82,21 +55,23 @@ def _read(path: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise _CliFailure(EXIT_IO, f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_graph(path: str) -> graphs.Graph:
+    text = _read(path)
     try:
-        return graphs.from_json(_read(path))
-    except CycolorError as exc:
-        raise _CliFailure(EXIT_IO, f"{path}: {exc}") from exc
+        return graphs.from_json(text)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _load_coloring(path: str) -> coloring_mod.Coloring:
+    text = _read(path)
     try:
-        return coloring_mod.from_json(_read(path))
-    except CycolorError as exc:
-        raise _CliFailure(EXIT_IO, f"{path}: {exc}") from exc
+        return coloring_mod.from_json(text)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _outcome_dict(out: solver.SearchOutcome) -> dict:
@@ -112,24 +87,24 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     fam = args.family
     if fam == "gm":
         if args.m is None:
-            raise _CliFailure(EXIT_USAGE, "--m is required for --family gm")
+            raise UsageError("--m is required for --family gm")
         g = families.gen_gm(args.m)
     elif fam in ("path", "cycle", "star"):
         if args.n is None:
-            raise _CliFailure(EXIT_USAGE, f"--n is required for --family {fam}")
+            raise UsageError(f"--n is required for --family {fam}")
         g = {"path": families.gen_path, "cycle": families.gen_cycle, "star": families.gen_star}[
             fam
         ](args.n)
     elif fam == "kab":
         if args.a is None or args.b is None:
-            raise _CliFailure(EXIT_USAGE, "--a and --b are required for --family kab")
+            raise UsageError("--a and --b are required for --family kab")
         g = families.gen_complete_bipartite(args.a, args.b)
     elif fam == "tree":
         if args.n is None or args.seed is None:
-            raise _CliFailure(EXIT_USAGE, "--n and --seed are required for --family tree")
+            raise UsageError("--n and --seed are required for --family tree")
         g = families.gen_random_tree(args.n, args.seed)
     else:  # pragma: no cover - argparse choices forbid this
-        raise _CliFailure(EXIT_USAGE, f"unknown family {fam!r}")
+        raise UsageError(f"unknown family {fam!r}")
     _emit(graphs.to_json(g), args.out)
     return EXIT_OK
 
@@ -217,7 +192,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     if args.coloring is not None:
         cert = _load_coloring(args.coloring)
         if len(cert.colors) != len(g.edges):
-            raise LengthMismatchError(
+            raise InputError(
                 f"coloring has {len(cert.colors)} entries but graph has {len(g.edges)} edges"
             )
     _emit(graphs.to_dot(g, cert), args.out)
@@ -296,19 +271,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except _USAGE_ERRORS as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _FORMAT_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except SearchBudgetExceededError as exc:
+    except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except CycolorError as exc:  # anything else domain-level is unexpected
+    except CycolorError as exc:  # InternalError: a self-check failed
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_IO
 

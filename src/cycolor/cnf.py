@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloring import Coloring, check_cyclically_interval
-from .errors import ColorCountError, CycolorError, DisconnectedError
+from .errors import InputError, UsageError
 from .graphs import Graph, is_connected
 
 
@@ -64,11 +64,11 @@ class CnfEncoding:
         for e in range(len(self.g.edges)):
             chosen = [c for c in range(1, self.t + 1) if self.edge_var(e, c) in true_vars]
             if len(chosen) != 1:
-                raise CycolorError(f"model sets {len(chosen)} colors on edge {e}, expected 1")
+                raise InputError(f"model sets {len(chosen)} colors on edge {e}, expected 1")
             colors.append(chosen[0])
         cert = Coloring(t=self.t, colors=tuple(colors))
         if verify and not check_cyclically_interval(self.g, cert).ok:
-            raise CycolorError("decoded model fails the checker")
+            raise InputError("decoded model fails the checker")
         return cert
 
     def model_from_coloring(self, cert: Coloring) -> set[int]:
@@ -79,7 +79,7 @@ class CnfEncoding:
         every clause.
         """
         if len(cert.colors) != len(self.g.edges) or cert.t != self.t:
-            raise CycolorError("coloring does not match this encoding")
+            raise InputError("coloring does not match this encoding")
         true_vars: set[int] = set()
         for e, c in enumerate(cert.colors):
             true_vars.add(self.edge_var(e, c))
@@ -98,16 +98,16 @@ class CnfEncoding:
                 None,
             )
             if start is None:
-                raise CycolorError(f"palette at {v} fits no arc; coloring is not valid")
+                raise InputError(f"palette at {v} fits no arc; coloring is not valid")
             true_vars.add(self.arc_var(v_idx, start))
         return true_vars
 
 
 def encode(g: Graph, t: int) -> CnfEncoding:
     if not isinstance(t, int) or isinstance(t, bool) or t < 1:
-        raise ColorCountError(f"t must be a positive integer, got {t!r}")
+        raise UsageError(f"t must be a positive integer, got {t!r}")
     if not is_connected(g):
-        raise DisconnectedError("CNF export accepts connected graphs only")
+        raise InputError("CNF export accepts connected graphs only")
     n_edges = len(g.edges)
     clauses: list[tuple[int, ...]] = []
 

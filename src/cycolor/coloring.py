@@ -18,13 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import (
-    ColorCountError,
-    ColorIndexError,
-    DisconnectedError,
-    LengthMismatchError,
-    UnknownVertexError,
-)
+from .errors import InputError, UsageError
 from .graphs import Graph, is_connected
 from .intervals import ColorSet
 
@@ -40,10 +34,10 @@ class Coloring:
 
     def __post_init__(self) -> None:
         if not isinstance(self.t, int) or isinstance(self.t, bool) or self.t < 1:
-            raise ColorCountError(f"t must be a positive integer, got {self.t!r}")
+            raise InputError(f"t must be a positive integer, got {self.t!r}")
         for idx, c in enumerate(self.colors):
             if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c <= self.t:
-                raise ColorIndexError(f"color {c!r} at edge {idx} outside [1, {self.t}]")
+                raise InputError(f"color {c!r} at edge {idx} outside [1, {self.t}]")
 
 
 @dataclass(frozen=True)
@@ -61,21 +55,21 @@ class Verdict:
 
 def _require_match(g: Graph, c: Coloring) -> None:
     if len(c.colors) != len(g.edges):
-        raise LengthMismatchError(
+        raise InputError(
             f"coloring has {len(c.colors)} entries but graph has {len(g.edges)} edges"
         )
 
 
 def _require_connected(g: Graph) -> None:
     if not is_connected(g):
-        raise DisconnectedError("checkers accept connected graphs only")
+        raise InputError("checkers accept connected graphs only")
 
 
 def palette(g: Graph, c: Coloring, v: str) -> ColorSet:
     """The set of colors appearing on edges incident to v."""
     _require_match(g, c)
     if v not in g.adjacency:
-        raise UnknownVertexError(f"no vertex {v!r}")
+        raise UsageError(f"no vertex {v!r}")
     return ColorSet.of(c.t, (c.colors[idx] for _, idx in g.adjacency[v]))
 
 
@@ -159,11 +153,11 @@ def to_dict(c: Coloring) -> dict:
 
 def from_dict(data: dict) -> Coloring:
     if not isinstance(data, dict) or "t" not in data or "colors" not in data:
-        raise ColorCountError("coloring object needs 't' and 'colors' keys")
+        raise InputError("coloring object needs 't' and 'colors' keys")
     t = data["t"]
     colors = data["colors"]
     if not isinstance(colors, list):
-        raise ColorIndexError("'colors' must be a list of integers")
+        raise InputError("'colors' must be a list of integers")
     return Coloring(t=t, colors=tuple(colors))
 
 
@@ -175,7 +169,7 @@ def from_json(text: str) -> Coloring:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ColorCountError(f"not valid JSON: {exc}") from exc
+        raise InputError(f"not valid JSON: {exc}") from exc
     return from_dict(data)
 
 

@@ -1,65 +1,34 @@
-"""Exception types shared across the package."""
+"""The package's error kinds, one for each way a run can fail.
+
+Each kind names what went wrong, not where it was noticed, and the CLI
+turns each into one exit code:
+
+    UsageError     exit 2  a parameter is missing, malformed or out of range
+    InputError     exit 3  a graph, coloring or color set is malformed or not
+                           accepted, or a file cannot be read or written
+    BudgetError    exit 4  a search or enumeration would exceed its budget
+    InternalError  exit 3  a self-check failed ("internal error"): a bug
+
+`CycolorError` is their common base; it is never raised directly.
+"""
 
 
 class CycolorError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DuplicateEdgeError(CycolorError):
-    """An edge appears twice (unordered comparison)."""
+class UsageError(CycolorError):
+    """A parameter is missing, malformed or out of range."""
 
 
-class SelfLoopError(CycolorError):
-    """An edge joins a vertex to itself."""
+class InputError(CycolorError):
+    """A graph, coloring or color set is malformed or not accepted, or a file
+    cannot be read or written."""
 
 
-class UnknownLabelError(CycolorError):
-    """An edge endpoint names a vertex that does not exist."""
+class BudgetError(CycolorError):
+    """A search or enumeration was refused or abandoned for exceeding its budget."""
 
 
-class UnknownVertexError(CycolorError):
-    """A queried vertex label is not in the graph."""
-
-
-class DisconnectedError(CycolorError):
-    """The operation requires a connected graph."""
-
-
-class LengthMismatchError(CycolorError):
-    """A coloring's length does not match the graph's edge count."""
-
-
-class ColorIndexError(CycolorError):
-    """A color or interval endpoint lies outside [1, t]."""
-
-
-class EmptySetError(CycolorError):
-    """The operation requires a nonempty color set."""
-
-
-class ArcChainError(CycolorError):
-    """Chained-arc union preconditions violated (non-arc input or broken chain)."""
-
-
-class MOutOfRangeError(CycolorError):
-    """The gm family requires m >= 2."""
-
-
-class SizeOutOfRangeError(CycolorError):
-    """A family generator received an out-of-range size parameter."""
-
-
-class ColorCountError(CycolorError):
-    """The color count t is malformed (not a positive integer)."""
-
-
-class TooLargeError(CycolorError):
-    """The requested enumeration or materialization exceeds the configured cap."""
-
-
-class AuditParamsError(CycolorError):
-    """Audit parameters violate their bounds."""
-
-
-class SearchBudgetExceededError(CycolorError):
-    """An exact search was abandoned because it exceeded its budget."""
+class InternalError(CycolorError):
+    """A self-check failed: the package contradicted itself."""

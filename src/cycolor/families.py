@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import random
 
-from .errors import MOutOfRangeError, SizeOutOfRangeError
+from .errors import UsageError
 from .graphs import Graph, build_graph
 
 
@@ -48,7 +48,7 @@ def gen_gm(m: int) -> Graph:
     the hub has degree m^2, pair vertices 2m, grid vertices m.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise MOutOfRangeError(f"m must be an integer >= 2, got {m!r}")
+        raise UsageError(f"m must be an integer >= 2, got {m!r}")
     vertices = [hub_label()]
     vertices += [pair_label(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
     vertices += [grid_label(p, q) for p in range(1, m + 1) for q in range(1, m + 1)]
@@ -68,7 +68,7 @@ def gen_gm(m: int) -> Graph:
 def gen_path(n: int) -> Graph:
     """Path with n edges (n + 1 vertices v1..v{n+1})."""
     if n < 1:
-        raise SizeOutOfRangeError(f"path needs >= 1 edge, got {n}")
+        raise UsageError(f"path needs >= 1 edge, got {n}")
     vertices = [f"v{k}" for k in range(1, n + 2)]
     edges = [(f"v{k}", f"v{k + 1}") for k in range(1, n + 1)]
     return build_graph(vertices, edges)
@@ -77,7 +77,7 @@ def gen_path(n: int) -> Graph:
 def gen_cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices v1..vn."""
     if n < 3:
-        raise SizeOutOfRangeError(f"cycle needs >= 3 vertices, got {n}")
+        raise UsageError(f"cycle needs >= 3 vertices, got {n}")
     vertices = [f"v{k}" for k in range(1, n + 1)]
     edges = [(f"v{k}", f"v{k + 1}") for k in range(1, n)]
     edges.append((f"v{n}", "v1"))
@@ -87,7 +87,7 @@ def gen_cycle(n: int) -> Graph:
 def gen_star(n: int) -> Graph:
     """Star with n >= 1 leaves: center "c", leaves l1..ln."""
     if n < 1:
-        raise SizeOutOfRangeError(f"star needs >= 1 leaf, got {n}")
+        raise UsageError(f"star needs >= 1 leaf, got {n}")
     vertices = ["c"] + [f"l{k}" for k in range(1, n + 1)]
     edges = [("c", f"l{k}") for k in range(1, n + 1)]
     return build_graph(vertices, edges)
@@ -96,7 +96,7 @@ def gen_star(n: int) -> Graph:
 def gen_complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with parts a1..a{a} and b1..b{b}, edges in (i, j) lex order."""
     if a < 1 or b < 1:
-        raise SizeOutOfRangeError(f"both sides need >= 1 vertex, got {a}, {b}")
+        raise UsageError(f"both sides need >= 1 vertex, got {a}, {b}")
     vertices = [f"a{i}" for i in range(1, a + 1)] + [f"b{j}" for j in range(1, b + 1)]
     edges = [(f"a{i}", f"b{j}") for i in range(1, a + 1) for j in range(1, b + 1)]
     return build_graph(vertices, edges)
@@ -111,7 +111,7 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     environment running this artifact version.
     """
     if n < 1:
-        raise SizeOutOfRangeError(f"tree needs >= 1 vertex, got {n}")
+        raise UsageError(f"tree needs >= 1 vertex, got {n}")
     vertices = [f"v{k}" for k in range(1, n + 1)]
     if n == 1:
         return build_graph(vertices, [])

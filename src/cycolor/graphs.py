@@ -13,15 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import (
-    DisconnectedError,
-    DuplicateEdgeError,
-    SearchBudgetExceededError,
-    SelfLoopError,
-    SizeOutOfRangeError,
-    UnknownLabelError,
-    UnknownVertexError,
-)
+from .errors import BudgetError, InputError, UsageError
 
 
 @dataclass(frozen=True)
@@ -34,12 +26,12 @@ class Graph:
 
     def degree(self, v: str) -> int:
         if v not in self.adjacency:
-            raise UnknownVertexError(f"no vertex {v!r}")
+            raise UsageError(f"no vertex {v!r}")
         return len(self.adjacency[v])
 
     def incident_edges(self, v: str) -> tuple[int, ...]:
         if v not in self.adjacency:
-            raise UnknownVertexError(f"no vertex {v!r}")
+            raise UsageError(f"no vertex {v!r}")
         return tuple(idx for _, idx in self.adjacency[v])
 
 
@@ -59,19 +51,19 @@ def build_graph(vertices: list[str], edges: list[tuple[str, str]]) -> Graph:
     seen_v: set[str] = set()
     for v in vertices:
         if v in seen_v:
-            raise DuplicateEdgeError(f"vertex {v!r} listed twice")
+            raise InputError(f"vertex {v!r} listed twice")
         seen_v.add(v)
     seen_e: set[frozenset[str]] = set()
     for u, v in edges:
         if u == v:
-            raise SelfLoopError(f"self-loop at {u!r}")
+            raise InputError(f"self-loop at {u!r}")
         if u not in seen_v:
-            raise UnknownLabelError(f"edge endpoint {u!r} is not a vertex")
+            raise InputError(f"edge endpoint {u!r} is not a vertex")
         if v not in seen_v:
-            raise UnknownLabelError(f"edge endpoint {v!r} is not a vertex")
+            raise InputError(f"edge endpoint {v!r} is not a vertex")
         key = frozenset((u, v))
         if key in seen_e:
-            raise DuplicateEdgeError(f"edge {{{u!r}, {v!r}}} listed twice")
+            raise InputError(f"edge {{{u!r}, {v!r}}} listed twice")
         seen_e.add(key)
     adj: dict[str, list[tuple[str, int]]] = {v: [] for v in vertices}
     for idx, (u, v) in enumerate(edges):
@@ -111,7 +103,7 @@ def bipartition(g: Graph) -> Union[Bipartition, NotBipartite]:
     containing the first vertex.
     """
     if not is_connected(g):
-        raise DisconnectedError("bipartition requires a connected graph")
+        raise InputError("bipartition requires a connected graph")
     if not g.vertices:
         return Bipartition(frozenset(), frozenset())
     root = g.vertices[0]
@@ -164,14 +156,14 @@ def chromatic_index(
     the limit explicitly to accept the wait.
     """
     if not g.edges:
-        raise SizeOutOfRangeError("chromatic index needs at least one edge")
+        raise InputError("chromatic index needs at least one edge")
     if not is_connected(g):
-        raise DisconnectedError("chromatic index requires a connected graph")
+        raise InputError("chromatic index requires a connected graph")
     delta = max_degree(g)
     if isinstance(bipartition(g), Bipartition):
         return delta
     if len(g.edges) > search_edge_limit:
-        raise SearchBudgetExceededError(
+        raise BudgetError(
             f"exact chromatic index search limited to {search_edge_limit} edges; "
             f"graph has {len(g.edges)}"
         )
@@ -180,9 +172,7 @@ def chromatic_index(
     cfg = SolverConfig(properness_only=True, node_budget=node_budget)
     outcome = decide(g, delta, cfg)
     if outcome.status == "budget-exceeded":
-        raise SearchBudgetExceededError(
-            f"chromatic index search at t={delta} exceeded its budget"
-        )
+        raise BudgetError(f"chromatic index search at t={delta} exceeded its budget")
     return delta if outcome.status == "colorable" else delta + 1
 
 
@@ -194,17 +184,17 @@ def to_dict(g: Graph) -> dict:
 
 def from_dict(data: dict) -> Graph:
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
-        raise UnknownLabelError("graph object needs 'vertices' and 'edges' keys")
+        raise InputError("graph object needs 'vertices' and 'edges' keys")
     vertices = data["vertices"]
     edges = data["edges"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
-        raise UnknownLabelError("'vertices' must be a list of strings")
+        raise InputError("'vertices' must be a list of strings")
     if not isinstance(edges, list):
-        raise UnknownLabelError("'edges' must be a list of two-element lists")
+        raise InputError("'edges' must be a list of two-element lists")
     pairs: list[tuple[str, str]] = []
     for e in edges:
         if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, str) for x in e):
-            raise UnknownLabelError(f"malformed edge entry: {e!r}")
+            raise InputError(f"malformed edge entry: {e!r}")
         pairs.append((e[0], e[1]))
     return build_graph(vertices, pairs)
 
@@ -217,7 +207,7 @@ def from_json(text: str) -> Graph:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise UnknownLabelError(f"not valid JSON: {exc}") from exc
+        raise InputError(f"not valid JSON: {exc}") from exc
     return from_dict(data)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import ArcChainError, ColorIndexError, EmptySetError, TooLargeError
+from .errors import BudgetError, InputError, UsageError
 
 # Materializing a ColorSet over a huge universe is a programming error;
 # membership queries (intcyc_contains) have no such cap.
@@ -37,10 +37,10 @@ class ColorSet:
 
     def __post_init__(self) -> None:
         if self.t < 1:
-            raise ColorIndexError(f"universe size must be >= 1, got {self.t}")
+            raise UsageError(f"universe size must be >= 1, got {self.t}")
         bad = [c for c in self.members if not 1 <= c <= self.t]
         if bad:
-            raise ColorIndexError(f"colors {sorted(bad)} outside [1, {self.t}]")
+            raise InputError(f"colors {sorted(bad)} outside [1, {self.t}]")
 
     @classmethod
     def of(cls, t: int, members: Iterable[int]) -> "ColorSet":
@@ -71,18 +71,18 @@ class CyclicIntervalSpec:
 
     def __post_init__(self) -> None:
         if self.j0 not in (1, 2):
-            raise ColorIndexError(f"variant must be 1 or 2, got {self.j0}")
+            raise UsageError(f"variant must be 1 or 2, got {self.j0}")
         if self.t < 1:
-            raise ColorIndexError(f"universe size must be >= 1, got {self.t}")
+            raise UsageError(f"universe size must be >= 1, got {self.t}")
         for name, value in (("i1", self.i1), ("i2", self.i2)):
             if not 1 <= value <= self.t:
-                raise ColorIndexError(f"{name}={value} outside [1, {self.t}]")
+                raise UsageError(f"{name}={value} outside [1, {self.t}]")
 
 
 def intcyc(spec: CyclicIntervalSpec) -> ColorSet:
     """Materialize the set named by `spec`. May be empty for open variants."""
     if spec.t > MAX_MATERIALIZED_T:
-        raise TooLargeError(
+        raise BudgetError(
             f"refusing to materialize a set over [1, {spec.t}]; "
             f"use intcyc_contains for membership"
         )
@@ -139,7 +139,7 @@ def cyclic_span(q: ColorSet) -> int:
     consecutive members. Always >= len(q), with equality iff q is an arc.
     """
     if not q.members:
-        raise EmptySetError("cyclic span of the empty set is undefined")
+        raise InputError("cyclic span of the empty set is undefined")
     xs = q.sorted_members()
     gaps = [b - a - 1 for a, b in zip(xs, xs[1:])]
     gaps.append(xs[0] + q.t - xs[-1] - 1)  # wrap-around run
@@ -150,19 +150,19 @@ def union_of_chained_arcs(arcs: list[ColorSet], t: int) -> Optional[ColorSet]:
     """Union a chain of arcs in which consecutive members overlap.
 
     Every input must be a t-cyclic interval and consecutive inputs must
-    intersect, else ArcChainError. Returns the union when it is itself a
+    intersect, else InputError. Returns the union when it is itself a
     t-cyclic interval, or None when the overlaps wrap the cycle in a way
     that leaves holes. A union of total size < t never returns None.
     """
     if not arcs:
-        raise ArcChainError("empty chain")
+        raise InputError("empty chain")
     for pos, arc in enumerate(arcs):
         if arc.t != t:
-            raise ArcChainError(f"arc {pos} has universe {arc.t}, expected {t}")
+            raise InputError(f"arc {pos} has universe {arc.t}, expected {t}")
         if not is_cyclic_interval(arc):
-            raise ArcChainError(f"arc {pos} is not a {t}-cyclic interval: {arc.sorted_members()}")
+            raise InputError(f"arc {pos} is not a {t}-cyclic interval: {arc.sorted_members()}")
     for pos, (a, b) in enumerate(zip(arcs, arcs[1:])):
         if not a.members & b.members:
-            raise ArcChainError(f"chain broken between arcs {pos} and {pos + 1}")
+            raise InputError(f"chain broken between arcs {pos} and {pos + 1}")
     union = ColorSet(t, frozenset().union(*(a.members for a in arcs)))
     return union if is_cyclic_interval(union) else None

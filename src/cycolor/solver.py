@@ -44,7 +44,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coloring import Coloring, check_cyclically_interval
-from .errors import ColorCountError, CycolorError, DisconnectedError, TooLargeError
+from .errors import BudgetError, InputError, InternalError, UsageError
 from .graphs import Graph, chromatic_index, is_connected, max_degree
 from .intervals import ColorSet, cyclic_span
 
@@ -70,11 +70,11 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         if self.node_budget is not None and self.node_budget < 1:
-            raise ColorCountError(f"node_budget must be positive, got {self.node_budget}")
+            raise UsageError(f"node_budget must be positive, got {self.node_budget}")
         if self.time_budget is not None and self.time_budget <= 0:
-            raise ColorCountError(f"time_budget must be positive, got {self.time_budget}")
+            raise UsageError(f"time_budget must be positive, got {self.time_budget}")
         if self.edge_order not in ("degree", "input"):
-            raise ColorCountError(f"edge_order must be 'degree' or 'input', got {self.edge_order!r}")
+            raise UsageError(f"edge_order must be 'degree' or 'input', got {self.edge_order!r}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ class SpectrumResult:
 
 def _validate_t(t) -> None:
     if not isinstance(t, int) or isinstance(t, bool) or t < 1:
-        raise ColorCountError(f"t must be a positive integer, got {t!r}")
+        raise UsageError(f"t must be a positive integer, got {t!r}")
 
 
 def _edge_positions(g: Graph, cfg: SolverConfig) -> list[int]:
@@ -188,7 +188,7 @@ def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcom
     cfg = cfg or SolverConfig()
     _validate_t(t)
     if not is_connected(g):
-        raise DisconnectedError("decide accepts connected graphs only")
+        raise InputError("decide accepts connected graphs only")
     n_edges = len(g.edges)
     delta = max_degree(g)
     if t < delta:
@@ -261,11 +261,11 @@ def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcom
         for v in g.vertices:
             seen = [cert.colors[i] for _, i in g.adjacency[v]]
             if len(seen) != len(set(seen)):
-                raise CycolorError("internal: proper certificate failed re-verification")
+                raise InternalError("proper certificate failed re-verification")
     else:
         verdict = check_cyclically_interval(g, cert)
         if not verdict.ok:
-            raise CycolorError("internal: certificate failed re-verification")
+            raise InternalError("certificate failed re-verification")
     return SearchOutcome(COLORABLE, coloring=cert, nodes=nodes)
 
 
@@ -319,7 +319,7 @@ def _vector_sweep(
     """
     n_edges = len(g.edges)
     if t > _MAX_VECTOR_T:
-        raise TooLargeError(
+        raise BudgetError(
             f"vector sweep tabulates 2^t palette shapes; t={t} exceeds {_MAX_VECTOR_T}"
         )
     tab = _arc_mask_table(t)
@@ -383,12 +383,12 @@ def _sweep(
 ) -> tuple[int, Optional[Coloring]]:
     _validate_t(t)
     if not is_connected(g):
-        raise DisconnectedError("brute force accepts connected graphs only")
+        raise InputError("brute force accepts connected graphs only")
     if method not in ("auto", "literal", "vector"):
-        raise ColorCountError(f"unknown method {method!r}")
+        raise UsageError(f"unknown method {method!r}")
     space = t ** len(g.edges)
     if space > cap:
-        raise TooLargeError(f"{t}^{len(g.edges)} = {space} assignments exceed the cap {cap}")
+        raise BudgetError(f"{t}^{len(g.edges)} = {space} assignments exceed the cap {cap}")
     if method == "literal" or (method == "auto" and space <= _LITERAL_SWEEP_LIMIT):
         return _literal_sweep(g, t, count_all)
     return _vector_sweep(g, t, count_all)
@@ -434,8 +434,8 @@ def spectrum(
 ) -> SpectrumResult:
     """Decide every t in a range, defaulting to the full meaningful window
     [chromatic index, |E|]. Ranges outside that window are clamped with a
-    warning. Each t is decided independently; jobs > 1 fans them out to
-    worker processes.
+    warning; a range left empty is a UsageError. Each t is decided
+    independently; jobs > 1 fans them out to worker processes.
     """
     cfg = cfg or SolverConfig()
     lo_bound = chromatic_index(g)
@@ -449,6 +449,11 @@ def spectrum(
             stacklevel=2,
         )
         lo, hi = max(lo, lo_bound), min(hi, hi_bound)
+    if lo > hi:
+        raise UsageError(
+            f"spectrum range [{lo}, {hi}] is empty"
+            f" (meaningful window is [{lo_bound}, {hi_bound}])"
+        )
     ts = list(range(lo, hi + 1))
     outcomes: dict[int, SearchOutcome] = {}
     if jobs > 1 and len(ts) > 1:

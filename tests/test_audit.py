@@ -19,7 +19,7 @@ from cycolor.audit import (
     step_to_dict,
     summary_to_dict,
 )
-from cycolor.errors import AuditParamsError
+from cycolor.errors import UsageError
 
 
 def _step(report, name):
@@ -27,15 +27,15 @@ def _step(report, name):
 
 
 def test_params_validation():
-    with pytest.raises(AuditParamsError):
+    with pytest.raises(UsageError, match='m must be an integer >= 2'):
         AuditParams(m=1, k0=0)
-    with pytest.raises(AuditParamsError):
+    with pytest.raises(UsageError, match='k0=-1 outside'):
         AuditParams(m=2, k0=-1)
-    with pytest.raises(AuditParamsError):
+    with pytest.raises(UsageError, match='k0=5 outside'):
         AuditParams(m=2, k0=5)  # max is m^3 - m^2 = 4
-    with pytest.raises(AuditParamsError):
+    with pytest.raises(UsageError, match="m must be an integer >= 2, got '3'"):
         AuditParams(m="3", k0=0)
-    with pytest.raises(AuditParamsError):
+    with pytest.raises(UsageError, match='k0 must be an integer'):
         AuditParams(m=3, k0=True)
     assert AuditParams(m=3, k0=5).t0 == 14
     assert AuditParams(m=2, k0=4).t0 == 8
@@ -171,11 +171,11 @@ def test_audit_range_beyond_exhaustive_limit():
 
 
 def test_audit_range_validation():
-    with pytest.raises(AuditParamsError):
+    with pytest.raises(UsageError, match='need 2 <= m_lo <= m_hi'):
         audit_range(5, 4)
-    with pytest.raises(AuditParamsError):
+    with pytest.raises(UsageError, match='need 2 <= m_lo <= m_hi'):
         audit_range(1, 3)
-    with pytest.raises(AuditParamsError):
+    with pytest.raises(UsageError, match='need 2 <= m_lo <= m_hi'):
         audit_range("2", 3)
 
 

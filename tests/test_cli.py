@@ -6,10 +6,14 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from cycolor import cli
 from cycolor import coloring as coloring_mod
 from cycolor import graphs
 from cycolor.cli import EXIT_BUDGET, EXIT_CHECKED_FALSE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from cycolor.coloring import check_cyclically_interval
+from cycolor.errors import BudgetError, InputError, InternalError, UsageError
 from cycolor.families import gen_cycle, gen_gm, gen_path
 
 
@@ -69,15 +73,12 @@ def test_gen_usage_errors(tmp_path, capsys):
         ["export-cnf", "--graph", gp, "--t", "0"],
         ["audit", "--m-min", "1", "--m-max", "3"],
         ["audit", "--m-min", "9", "--m-max", "8"],
+        ["spectrum", "--graph", gp, "--t-min", "10", "--t-max", "5"],  # an empty t range
     ]
     for argv in rows:
         assert main(argv) == EXIT_USAGE, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "internal error" not in err, argv
-
-    # an empty t range decides nothing
-    assert main(["spectrum", "--graph", gp, "--t-min", "10", "--t-max", "5"]) == EXIT_CHECKED_FALSE
-    capsys.readouterr()
 
 
 def test_check_accepts_and_rejects(tmp_path, capsys):
@@ -216,7 +217,7 @@ def test_io_error_exits(tmp_path, capsys):
 
     missing = str(tmp_path / "nope.json")
     gp = _write_graph(tmp_path, gen_cycle(4))
-    split = write("split.json", {"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["c", "d"]]})
+    split = write("split.json", {"vertices": list("abcd"), "edges": [["a", "b"], ["c", "d"]]})
     split_coloring = _write_coloring(tmp_path, coloring_mod.Coloring(1, (1, 1)), "split-c.json")
     graph_rows = {
         "mangled": "{not json",
@@ -245,10 +246,13 @@ def test_io_error_exits(tmp_path, capsys):
         ["spectrum", "--graph", split],
         ["check", "--graph", split, "--coloring", split_coloring],
         ["export-cnf", "--graph", split, "--t", "2"],
+        # a graph without edges has no chromatic index, so no spectrum window
+        ["spectrum", "--graph", write("edgeless.json", {"vertices": ["a"], "edges": []})],
     ]
     for name, payload in graph_rows.items():
         path = write(f"graph-{name}.json", payload)
-        rows += [["solve", "--graph", path, "--t", "2"], ["export-cnf", "--graph", path, "--t", "2"]]
+        rows += [["solve", "--graph", path, "--t", "2"]]
+        rows += [["export-cnf", "--graph", path, "--t", "2"]]
     for name, payload in coloring_rows.items():
         path = write(f"coloring-{name}.json", payload)
         rows += [["check", "--graph", gp, "--coloring", path]]
@@ -257,10 +261,23 @@ def test_io_error_exits(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "internal error" not in err, argv
 
-    # a graph without edges has no chromatic index, so no spectrum window
-    edgeless = write("edgeless.json", {"vertices": ["a"], "edges": []})
-    assert main(["spectrum", "--graph", edgeless]) == EXIT_USAGE
-    capsys.readouterr()
+
+@pytest.mark.parametrize(
+    "kind, code, prefix",
+    [
+        (UsageError, EXIT_USAGE, "error: "),
+        (InputError, EXIT_IO, "error: "),
+        (BudgetError, EXIT_BUDGET, "error: "),
+        (InternalError, EXIT_IO, "internal error: "),
+    ],
+)
+def test_each_error_kind_has_one_exit_code(monkeypatch, capsys, kind, code, prefix):
+    def fail(args):
+        raise kind("boom")
+
+    monkeypatch.setattr(cli, "_cmd_check", fail)
+    assert main(["check", "--graph", "g.json", "--coloring", "c.json"]) == code
+    assert capsys.readouterr().err == f"{prefix}boom\n"
 
 
 def test_out_flag_failure(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from cycolor.cnf import arc_colors, encode, export_cnf
 from cycolor.coloring import Coloring
-from cycolor.errors import ColorCountError, CycolorError, DisconnectedError
+from cycolor.errors import InputError, UsageError
 from cycolor.families import gen_cycle, gen_gm, gen_path, gen_star
 from cycolor.graphs import build_graph
 from cycolor.solver import COLORABLE, count_colorings, decide
@@ -40,11 +40,11 @@ def test_variable_numbering_frozen():
 
 
 def test_encode_validates_inputs():
-    with pytest.raises(ColorCountError):
+    with pytest.raises(UsageError, match='t must be a positive integer, got 0'):
         encode(gen_path(2), 0)
-    with pytest.raises(ColorCountError):
+    with pytest.raises(UsageError, match='t must be a positive integer, got True'):
         encode(gen_path(2), True)
-    with pytest.raises(DisconnectedError):
+    with pytest.raises(InputError, match='CNF export accepts connected graphs only'):
         encode(build_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]), 2)
 
 
@@ -66,17 +66,17 @@ def test_valid_colorings_satisfy_the_encoding():
 
 def test_model_from_coloring_rejects_mismatch():
     enc = encode(gen_path(2), 2)
-    with pytest.raises(CycolorError):
+    with pytest.raises(InputError, match='coloring does not match this encoding'):
         enc.model_from_coloring(Coloring(3, (1, 2)))
-    with pytest.raises(CycolorError):
+    with pytest.raises(InputError, match='coloring does not match this encoding'):
         enc.model_from_coloring(Coloring(2, (1, 2, 1)))
 
 
 def test_decode_model_demands_exactly_one_color():
     enc = encode(gen_path(2), 2)
-    with pytest.raises(CycolorError):
+    with pytest.raises(InputError, match='model sets 0 colors on edge 0'):
         enc.decode_model(set())
-    with pytest.raises(CycolorError):
+    with pytest.raises(InputError, match='model sets 2 colors on edge 0'):
         enc.decode_model({enc.edge_var(0, 1), enc.edge_var(0, 2), enc.edge_var(1, 1)})
 
 

@@ -16,26 +16,20 @@ from cycolor.coloring import (
     to_json,
     verdict_to_dict,
 )
-from cycolor.errors import (
-    ColorCountError,
-    ColorIndexError,
-    DisconnectedError,
-    LengthMismatchError,
-    UnknownVertexError,
-)
+from cycolor.errors import InputError, UsageError
 from cycolor.families import gen_cycle, gen_path, gen_random_tree, gen_star
 from cycolor.graphs import build_graph
 from cycolor.intervals import ColorSet, is_cyclic_interval
 
 
 def test_coloring_validation():
-    with pytest.raises(ColorCountError):
+    with pytest.raises(InputError, match='t must be a positive integer, got 0'):
         Coloring(0, ())
-    with pytest.raises(ColorCountError):
+    with pytest.raises(InputError, match='t must be a positive integer, got -3'):
         Coloring(-3, (1,))
-    with pytest.raises(ColorIndexError):
+    with pytest.raises(InputError, match='color 3 at edge 1 outside \\[1, 2\\]'):
         Coloring(2, (1, 3))
-    with pytest.raises(ColorIndexError):
+    with pytest.raises(InputError, match='color 0 at edge 0 outside'):
         Coloring(2, (0,))
 
 
@@ -52,9 +46,9 @@ def test_palette_examples():
 
 def test_palette_errors():
     g = gen_path(2)
-    with pytest.raises(UnknownVertexError):
+    with pytest.raises(UsageError, match="no vertex 'nope'"):
         palette(g, Coloring(2, (1, 2)), "nope")
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(InputError, match='coloring has 1 entries but graph has 2 edges'):
         palette(g, Coloring(2, (1,)), "v1")
 
 
@@ -81,12 +75,12 @@ def test_check_proper_accepts_and_rejects():
 
 def test_checker_requires_matching_connected_input():
     g = gen_path(2)
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(InputError, match='coloring has 3 entries but graph has 2 edges'):
         check_proper(g, Coloring(2, (1, 2, 1)))
     split = build_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
-    with pytest.raises(DisconnectedError):
+    with pytest.raises(InputError, match='checkers accept connected graphs only'):
         check_proper(split, Coloring(2, (1, 2)))
-    with pytest.raises(DisconnectedError):
+    with pytest.raises(InputError, match='checkers accept connected graphs only'):
         check_cyclically_interval(split, Coloring(2, (1, 2)))
 
 
@@ -161,13 +155,13 @@ def test_json_round_trip():
 
 
 def test_json_rejects_malformed_payloads():
-    with pytest.raises(ColorCountError):
+    with pytest.raises(InputError, match="needs 't' and 'colors' keys"):
         from_json("[]")
-    with pytest.raises(ColorCountError):
+    with pytest.raises(InputError, match="needs 't' and 'colors' keys"):
         from_json('{"colors": [1]}')
-    with pytest.raises(ColorCountError):
+    with pytest.raises(InputError, match="t must be a positive integer, got 'x'"):
         from_json('{"t": "x", "colors": [1]}')
-    with pytest.raises(ColorIndexError):
+    with pytest.raises(InputError, match='color 9 at edge 1 outside'):
         from_json('{"t": 2, "colors": [1, 9]}')
-    with pytest.raises(ColorIndexError):
+    with pytest.raises(InputError, match="'colors' must be a list of integers"):
         from_json('{"t": 2, "colors": "zz"}')

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from cycolor.errors import MOutOfRangeError, SizeOutOfRangeError
+from cycolor.errors import UsageError
 from cycolor.families import (
     gen_complete_bipartite,
     gen_cycle,
@@ -99,9 +99,9 @@ def test_any_two_grid_vertices_share_a_pair_neighbor():
 
 
 def test_gm_rejects_small_m():
-    with pytest.raises(MOutOfRangeError):
+    with pytest.raises(UsageError, match='m must be an integer >= 2, got 1'):
         gen_gm(1)
-    with pytest.raises(MOutOfRangeError):
+    with pytest.raises(UsageError, match='m must be an integer >= 2, got 0'):
         gen_gm(0)
 
 
@@ -118,15 +118,15 @@ def test_path_cycle_star_shapes():
 
 
 def test_generator_size_validation():
-    with pytest.raises(SizeOutOfRangeError):
+    with pytest.raises(UsageError, match='path needs >= 1 edge'):
         gen_path(0)
-    with pytest.raises(SizeOutOfRangeError):
+    with pytest.raises(UsageError, match='cycle needs >= 3 vertices'):
         gen_cycle(2)
-    with pytest.raises(SizeOutOfRangeError):
+    with pytest.raises(UsageError, match='star needs >= 1 leaf'):
         gen_star(0)
-    with pytest.raises(SizeOutOfRangeError):
+    with pytest.raises(UsageError, match='both sides need >= 1 vertex'):
         gen_complete_bipartite(0, 3)
-    with pytest.raises(SizeOutOfRangeError):
+    with pytest.raises(UsageError, match='tree needs >= 1 vertex'):
         gen_random_tree(0, seed=1)
 
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from cycolor.errors import ArcChainError, ColorIndexError, EmptySetError, TooLargeError
+from cycolor.errors import BudgetError, InputError, UsageError
 from cycolor.intervals import (
     ColorSet,
     CyclicIntervalSpec,
@@ -85,19 +85,19 @@ def test_endpoint_order_is_irrelevant():
 
 
 def test_spec_validation():
-    with pytest.raises(ColorIndexError):
+    with pytest.raises(UsageError, match='variant must be 1 or 2'):
         CyclicIntervalSpec(j0=3, i1=1, i2=1, t=5)
-    with pytest.raises(ColorIndexError):
+    with pytest.raises(UsageError, match='i1=0 outside \\[1, 5\\]'):
         CyclicIntervalSpec(j0=1, i1=0, i2=1, t=5)
-    with pytest.raises(ColorIndexError):
+    with pytest.raises(UsageError, match='i2=6 outside \\[1, 5\\]'):
         CyclicIntervalSpec(j0=1, i1=1, i2=6, t=5)
-    with pytest.raises(ColorIndexError):
+    with pytest.raises(UsageError, match='universe size must be >= 1, got 0'):
         CyclicIntervalSpec(j0=1, i1=1, i2=1, t=0)
 
 
 def test_materialization_cap():
     spec = CyclicIntervalSpec(j0=1, i1=5, i2=9, t=10**6 + 1)
-    with pytest.raises(TooLargeError):
+    with pytest.raises(BudgetError, match='refusing to materialize'):
         intcyc(spec)
     # membership still answers without materializing
     assert intcyc_contains(spec, 7)
@@ -136,11 +136,11 @@ def test_colorset_validation_and_basics():
     assert 1 in q and 3 in q and 2 not in q
     assert len(q) == 2
     assert q.complement().sorted_members() == [2, 4, 5]
-    with pytest.raises(ColorIndexError):
+    with pytest.raises(InputError, match='colors \\[0\\] outside \\[1, 5\\]'):
         ColorSet.of(5, [0])
-    with pytest.raises(ColorIndexError):
+    with pytest.raises(InputError, match='colors \\[6\\] outside \\[1, 5\\]'):
         ColorSet.of(5, [6])
-    with pytest.raises(ColorIndexError):
+    with pytest.raises(UsageError, match='universe size must be >= 1, got 0'):
         ColorSet.of(0, [])
 
 
@@ -180,7 +180,7 @@ def test_span_examples():
 
 
 def test_span_of_empty_set_is_an_error():
-    with pytest.raises(EmptySetError):
+    with pytest.raises(InputError, match='cyclic span of the empty set'):
         cyclic_span(ColorSet.of(5, []))
 
 
@@ -225,13 +225,13 @@ def test_chained_union_examples():
 
 
 def test_chained_union_preconditions():
-    with pytest.raises(ArcChainError):
+    with pytest.raises(InputError, match='empty chain'):
         union_of_chained_arcs([], 5)
-    with pytest.raises(ArcChainError):
+    with pytest.raises(InputError, match='arc 0 has universe 4, expected 5'):
         union_of_chained_arcs([ColorSet.of(4, [1, 2])], 5)  # universe mismatch
-    with pytest.raises(ArcChainError):
+    with pytest.raises(InputError, match='arc 0 is not a 5-cyclic interval'):
         union_of_chained_arcs([ColorSet.of(5, [1, 3])], 5)  # not an arc
-    with pytest.raises(ArcChainError):
+    with pytest.raises(InputError, match='chain broken between arcs 0 and 1'):
         union_of_chained_arcs([ColorSet.of(5, [1, 2]), ColorSet.of(5, [3, 4])], 5)
 
 

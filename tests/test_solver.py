@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from cycolor.coloring import Coloring, check_cyclically_interval
-from cycolor.errors import ColorCountError, DisconnectedError, TooLargeError
+from cycolor.errors import BudgetError, InputError, UsageError
 from cycolor.families import (
     gen_complete_bipartite,
     gen_cycle,
@@ -41,15 +41,15 @@ def _reflect(c: Coloring) -> Coloring:
 
 def test_decide_validates_inputs():
     g = gen_path(2)
-    with pytest.raises(ColorCountError):
+    with pytest.raises(UsageError, match='t must be a positive integer, got 0'):
         decide(g, 0)
-    with pytest.raises(ColorCountError):
+    with pytest.raises(UsageError, match="t must be a positive integer, got '3'"):
         decide(g, "3")
-    with pytest.raises(DisconnectedError):
+    with pytest.raises(InputError, match='decide accepts connected graphs only'):
         decide(build_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]), 2)
-    with pytest.raises(ColorCountError):
+    with pytest.raises(UsageError, match='node_budget must be positive'):
         SolverConfig(node_budget=0)
-    with pytest.raises(ColorCountError):
+    with pytest.raises(UsageError, match="edge_order must be 'degree' or 'input'"):
         SolverConfig(edge_order="random")
 
 
@@ -154,12 +154,33 @@ def test_prunes_never_cut_a_valid_certificate_prefix():
 
 
 def _all_valid_colorings(g, t):
-    import itertools
+    """Every valid coloring, in lexicographic order.
 
-    for combo in itertools.product(range(1, t + 1), repeat=len(g.edges)):
-        cert = Coloring(t, combo)
-        if check_cyclically_interval(g, cert).ok:
-            yield cert
+    A depth-first walk in edge-index order that skips a color already at
+    either endpoint yields exactly the proper assignments, in the order
+    `itertools.product` would; a valid coloring is proper, so filtering
+    those through the checker leaves exactly the valid ones.
+    """
+    colors = [0] * len(g.edges)
+    at = {v: set() for v in g.vertices}
+
+    def walk(e):
+        if e == len(g.edges):
+            cert = Coloring(t, tuple(colors))
+            if check_cyclically_interval(g, cert).ok:
+                yield cert
+            return
+        u, v = g.edges[e]
+        for c in range(1, t + 1):
+            if c not in at[u] and c not in at[v]:
+                colors[e] = c
+                at[u].add(c)
+                at[v].add(c)
+                yield from walk(e + 1)
+                at[u].remove(c)
+                at[v].remove(c)
+
+    return walk(0)
 
 
 def test_oracle_agrees_with_decide_on_small_corpus():
@@ -220,7 +241,7 @@ def test_oracle_count_frozen_values():
 
 
 def test_oracle_cap():
-    with pytest.raises(TooLargeError):
+    with pytest.raises(BudgetError, match='exceed the cap 1000'):
         brute_force_decide(gen_gm(2), 8, cap=1000)
 
 
@@ -243,6 +264,12 @@ def test_spectrum_clamps_with_warning():
     with pytest.warns(UserWarning):
         res = spectrum(g, t_min=1, t_max=99)
     assert (res.t_min, res.t_max) == (2, 3)
+    # a range that is empty, as given or once clamped, decides nothing
+    with pytest.raises(UsageError, match=r"spectrum range \[3, 2\] is empty"):
+        spectrum(g, t_min=3, t_max=2)
+    with pytest.raises(UsageError, match=r"spectrum range \[20, 3\] is empty"):
+        with pytest.warns(UserWarning):
+            spectrum(g, t_min=20, t_max=99)
 
 
 def test_spectrum_parallel_matches_serial():
