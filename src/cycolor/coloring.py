@@ -11,6 +11,10 @@ can be repaired in one pass.
 The palette condition here is written out directly from its two-clause
 form on purpose, independently of intervals.is_cyclic_interval; the test
 suite asserts the two formulations agree.
+
+Both checkers are one pass over the graph's per-vertex incidence, with each
+palette held as a bitmask; the graph's connectivity is computed once per
+graph and kept. Failure objects are built only for a coloring that fails.
 """
 
 from __future__ import annotations
@@ -79,13 +83,74 @@ def check_proper(g: Graph, c: Coloring) -> Verdict:
     Failure order is deterministic: per-vertex clashes in graph vertex
     order (colors ascending within a vertex), then unused colors ascending.
     """
+    return _scan(g, c, palettes=False)
+
+
+def check_cyclically_interval(g: Graph, c: Coloring) -> Verdict:
+    """check_proper plus the per-vertex palette condition.
+
+    Palette failures follow the check_proper failures, in graph vertex order.
+    """
+    return _scan(g, c, palettes=True)
+
+
+_PASS = Verdict(ok=True, failures=())
+
+
+def _is_plain_interval(mask: int) -> bool:
+    """Whether a palette bitmask is a nonempty run of consecutive colors."""
+    if not mask:
+        return False
+    run = mask // (mask & -mask)  # the lowest color moved down to bit 0
+    return run & (run + 1) == 0
+
+
+def _palette_admissible(mask: int, full: int) -> bool:
+    """Condition (a): palette is an interval; or (b): its complement is.
+
+    An empty complement counts under (a) since the full palette [1, t] is
+    itself an interval.
+    """
+    comp = full ^ mask
+    return _is_plain_interval(mask) or not comp or _is_plain_interval(comp)
+
+
+def _members(mask: int, t: int) -> list[int]:
+    return [color for color in range(1, t + 1) if mask >> color & 1]
+
+
+def _scan(g: Graph, c: Coloring, palettes: bool) -> Verdict:
+    """Both checkers in one pass over the vertices.
+
+    Each vertex palette is a bitmask, bit c for color c. The vertex is proper
+    when its mask holds one color per incident edge, and every color is used
+    when the union of the masks is full. Failures are spelled out only when
+    something fails.
+    """
     _require_connected(g)
     _require_match(g, c)
+    colors = c.colors
+    full = (2 << c.t) - 2  # bits 1..t
+    used = 0
+    clashes: list[tuple[str, tuple[int, ...]]] = []
+    bad: list[tuple[str, int]] = []
+    for v, incident in zip(g.vertices, g.incidence):
+        mask = 0
+        for idx in incident:
+            mask |= 1 << colors[idx]
+        used |= mask
+        if mask.bit_count() != len(incident):
+            clashes.append((v, incident))
+        if palettes and not _palette_admissible(mask, full):
+            bad.append((v, mask))
+    if not clashes and not bad and used == full:
+        return _PASS
+
     failures: list[Failure] = []
-    for v in g.vertices:
+    for v, incident in clashes:
         by_color: dict[int, list[int]] = {}
-        for _, idx in g.adjacency[v]:
-            by_color.setdefault(c.colors[idx], []).append(idx)
+        for idx in incident:
+            by_color.setdefault(colors[idx], []).append(idx)
         for color in sorted(by_color):
             if len(by_color[color]) > 1:
                 failures.append(
@@ -95,54 +160,26 @@ def check_proper(g: Graph, c: Coloring) -> Verdict:
                         detail=f"color {color} repeats on edges {by_color[color]}",
                     )
                 )
-    used = set(c.colors)
-    for color in range(1, c.t + 1):
-        if color not in used:
-            failures.append(
-                Failure(
-                    kind=KIND_COLOR_UNUSED,
-                    location=str(color),
-                    detail=f"color {color} appears on no edge",
-                )
+    for color in _members(full ^ used, c.t):
+        failures.append(
+            Failure(
+                kind=KIND_COLOR_UNUSED,
+                location=str(color),
+                detail=f"color {color} appears on no edge",
             )
-    return Verdict(ok=not failures, failures=tuple(failures))
-
-
-def _is_plain_interval(sorted_colors: list[int]) -> bool:
-    return bool(sorted_colors) and sorted_colors[-1] - sorted_colors[0] + 1 == len(sorted_colors)
-
-
-def _palette_admissible(p: ColorSet) -> bool:
-    """Condition (a): palette is an interval; or (b): its complement is.
-
-    An empty complement counts under (a) since the full palette [1, t] is
-    itself an interval.
-    """
-    members = p.sorted_members()
-    if _is_plain_interval(members):
-        return True
-    comp = p.complement().sorted_members()
-    return not comp or _is_plain_interval(comp)
-
-
-def check_cyclically_interval(g: Graph, c: Coloring) -> Verdict:
-    """check_proper plus the per-vertex palette condition."""
-    base = check_proper(g, c)
-    failures = list(base.failures)
-    for v in g.vertices:
-        p = palette(g, c, v)
-        if not _palette_admissible(p):
-            failures.append(
-                Failure(
-                    kind=KIND_BAD_PALETTE,
-                    location=v,
-                    detail=(
-                        f"palette {p.sorted_members()} is not an interval of [1, {c.t}] "
-                        f"and neither is its complement {p.complement().sorted_members()}"
-                    ),
-                )
+        )
+    for v, mask in bad:
+        failures.append(
+            Failure(
+                kind=KIND_BAD_PALETTE,
+                location=v,
+                detail=(
+                    f"palette {_members(mask, c.t)} is not an interval of [1, {c.t}] "
+                    f"and neither is its complement {_members(full ^ mask, c.t)}"
+                ),
             )
-    return Verdict(ok=not failures, failures=tuple(failures))
+        )
+    return Verdict(ok=False, failures=tuple(failures))
 
 
 # --- interchange -------------------------------------------------------------

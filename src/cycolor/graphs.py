@@ -9,6 +9,7 @@ edges behind the caller's back.
 from __future__ import annotations
 
 import collections
+import functools
 import json
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -18,7 +19,11 @@ from .errors import BudgetError, InputError, UsageError
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable graph. `adjacency` maps each vertex to (neighbor, edge_index) pairs."""
+    """Immutable graph. `adjacency` maps each vertex to (neighbor, edge_index) pairs.
+
+    Properties derived from the structure (`incidence`, `connected`) are
+    computed on first use and kept, since the graph never changes.
+    """
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
@@ -33,6 +38,25 @@ class Graph:
         if v not in self.adjacency:
             raise UsageError(f"no vertex {v!r}")
         return tuple(idx for _, idx in self.adjacency[v])
+
+    @functools.cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """The incident edge indices of each vertex, in vertex order."""
+        return tuple(tuple(idx for _, idx in self.adjacency[v]) for v in self.vertices)
+
+    @functools.cached_property
+    def connected(self) -> bool:
+        if not self.vertices:
+            return True
+        seen = {self.vertices[0]}
+        stack = [self.vertices[0]]
+        while stack:
+            u = stack.pop()
+            for w, _ in self.adjacency[u]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == len(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -83,17 +107,7 @@ def max_degree(g: Graph) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    if not g.vertices:
-        return True
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
-    while stack:
-        u = stack.pop()
-        for w, _ in g.adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(g.vertices)
+    return g.connected
 
 
 def bipartition(g: Graph) -> Union[Bipartition, NotBipartite]:

@@ -27,9 +27,14 @@ out of budget is its own outcome.
 `brute_force_decide` is the deliberately independent ground truth: it
 enumerates every assignment in lexicographic order and filters with the
 checker. It shares no search logic with `decide`. Above ~200k assignments
-it switches to a vectorized sweep (bitmask palettes + a precomputed
-arc-shape table), which the tests cross-validate against the literal sweep
-on overlapping sizes.
+it switches to a blocked numpy sweep: every assignment of the last k edges
+(t^k <= _CHUNK) is laid out once, with each vertex's palette over those
+edges as a bitmask; the assignments of the first edges are walked in lex
+order, and under each one a vertex palette is judged by one lookup in a
+per-degree table of bitmasks that hold exactly deg colors forming an arc
+(`_arc_mask_table`, its own arc formulation). The tests cross-validate
+the two sweeps on overlapping sizes, with blocks as small as a few
+assignments.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ DEFAULT_ENUMERATION_CAP = 10**9
 _LITERAL_SWEEP_LIMIT = 200_000
 # The vectorized path tabulates arc shapes over all 2^t palette bitmasks.
 _MAX_VECTOR_T = 20
+# The vectorized path judges blocks of at most this many assignments at once.
 _CHUNK = 1 << 17
 
 
@@ -309,10 +315,29 @@ def _arc_mask_table(t: int) -> np.ndarray:
     return tab
 
 
+def _union(bits: list[int], edges) -> int:
+    mask = 0
+    for e in edges:
+        mask |= bits[e]
+    return mask
+
+
 def _vector_sweep(
     g: Graph, t: int, count_all: bool
 ) -> tuple[int, Optional[Coloring]]:
-    """Enumerate all t^|E| assignments in lex order with numpy.
+    """Enumerate all t^|E| assignments in lex order with numpy, a block at a time.
+
+    The suffix is the last k edges, k the largest with t^k <= _CHUNK. Every
+    suffix assignment is laid out once per call: its digits, each vertex's
+    suffix palette and the union of its colors. The prefixes, assignments
+    to the first |E| - k edges, are walked in lex order, and each one fixes
+    a block of t^k assignments. Within a block a vertex's palette is its
+    suffix palette OR the colors its prefix edges carry, judged by one
+    lookup in ok[deg][mask] = (popcount(mask) == deg) & arc[mask]: exactly
+    deg distinct colors (properness) forming an arc. A vertex whose edges
+    all lie in the suffix is judged once per call; one whose edges all lie
+    in the prefix is judged once per prefix, and its failure rules out the
+    whole block.
 
     Returns (count, first certificate). With count_all False, stops at the
     first valid assignment.
@@ -322,45 +347,58 @@ def _vector_sweep(
         raise BudgetError(
             f"vector sweep tabulates 2^t palette shapes; t={t} exceeds {_MAX_VECTOR_T}"
         )
-    tab = _arc_mask_table(t)
+    arc = _arc_mask_table(t)
+    popcount = np.bitwise_count(np.arange(1 << t, dtype=np.uint32))
     full = (1 << t) - 1
-    incident = [np.array(g.incident_edges(v), dtype=np.int64) for v in g.vertices]
-    degrees = np.array([len(g.adjacency[v]) for v in g.vertices], dtype=np.int64)
-    weights = np.array([t ** (n_edges - 1 - i) for i in range(n_edges)], dtype=object)
-    total = t**n_edges
+    k = 0
+    while k < n_edges and t ** (k + 1) <= _CHUNK:
+        k += 1
+    split = n_edges - k
+    # row r holds the suffix digits (0-based colors) of r written in base t
+    digits = np.indices((t,) * k, dtype=np.int8).reshape(k, t**k).T
+    bits = np.int32(1) << digits.astype(np.int32)
+    suffix_union = np.bitwise_or.reduce(bits, axis=1, initial=0)
+
+    ok: dict[int, np.ndarray] = {}
+    base = np.ones(t**k, dtype=bool)  # what the suffix-only vertices allow
+    prefix_only: list[tuple[np.ndarray, list[int]]] = []
+    mixed: list[tuple[np.ndarray, list[int], np.ndarray]] = []
+    for incident in g.incidence:
+        if not incident:
+            continue
+        deg = len(incident)
+        if deg not in ok:
+            ok[deg] = arc & (popcount == deg)
+        head = [e for e in incident if e < split]
+        if len(head) == deg:
+            prefix_only.append((ok[deg], head))
+            continue
+        pal = np.zeros(t**k, dtype=np.int32)
+        for e in incident:
+            if e >= split:
+                pal |= bits[:, e - split]
+        if head:
+            mixed.append((ok[deg], head, pal))
+        else:
+            base &= ok[deg][pal]
+
     count = 0
     first: Optional[Coloring] = None
-    for base in range(0, total, _CHUNK):
-        hi = min(base + _CHUNK, total)
-        idx = np.arange(base, hi, dtype=np.int64)
-        # digit i (0-based color) of each assignment, most significant first
-        digits = np.empty((hi - base, n_edges), dtype=np.int64)
-        rest = idx
-        for i in range(n_edges):
-            w = int(weights[i])
-            digits[:, i] = rest // w
-            rest = rest % w
-        bits = (np.int64(1) << digits).astype(np.int64)
-        valid = np.ones(hi - base, dtype=bool)
-        union = np.zeros(hi - base, dtype=np.int64)
-        for v_idx, inc in enumerate(incident):
-            if inc.size == 0:
-                continue
-            pal = np.zeros(hi - base, dtype=np.int64)
-            for e in inc:
-                pal |= bits[:, e]
-            valid &= np.bitwise_count(pal.astype(np.uint64)) == degrees[v_idx]
-            valid &= tab[pal]
-        for e in range(n_edges):
-            union |= bits[:, e]
-        valid &= union == full
-        chunk_count = int(valid.sum())
-        if chunk_count and first is None:
-            row = int(np.flatnonzero(valid)[0])
-            first = Coloring(t=t, colors=tuple(int(c) + 1 for c in digits[row]))
+    for prefix in itertools.product(range(t), repeat=split):
+        pbits = [1 << d for d in prefix]
+        if not all(ok_d[_union(pbits, head)] for ok_d, head in prefix_only):
+            continue
+        valid = base & ((suffix_union | _union(pbits, range(split))) == full)
+        for ok_d, head, pal in mixed:
+            valid &= ok_d[pal | _union(pbits, head)]
+        block_count = int(np.count_nonzero(valid))
+        if block_count and first is None:
+            row = int(np.argmax(valid))
+            colors = tuple(d + 1 for d in prefix) + tuple(int(d) + 1 for d in digits[row])
+            first = Coloring(t=t, colors=colors)
             if not count_all:
                 return 1, first
-        count += chunk_count
+        count += block_count
     return count, first
 
 
@@ -433,12 +471,21 @@ def spectrum(
     graph_id: str = "",
 ) -> SpectrumResult:
     """Decide every t in a range, defaulting to the full meaningful window
-    [chromatic index, |E|]. Ranges outside that window are clamped with a
-    warning; a range left empty is a UsageError. Each t is decided
-    independently; jobs > 1 fans them out to worker processes.
+    [chromatic index, |E|]. Where the chromatic index is out of reach (a
+    non-bipartite graph past its exact-search limit) the window starts at
+    the max degree instead, and `decide` settles the low end itself: below
+    the chromatic index it finds no proper coloring. Ranges outside the
+    window are clamped with a warning; a range left empty is a UsageError.
+    Each t is decided independently; jobs > 1 fans them out to worker
+    processes, and jobs < 1 is a UsageError.
     """
     cfg = cfg or SolverConfig()
-    lo_bound = chromatic_index(g)
+    if jobs < 1:
+        raise UsageError(f"jobs must be positive, got {jobs}")
+    try:
+        lo_bound = chromatic_index(g)
+    except BudgetError:
+        lo_bound = max_degree(g)
     hi_bound = len(g.edges)
     lo = lo_bound if t_min is None else t_min
     hi = hi_bound if t_max is None else t_max

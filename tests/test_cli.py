@@ -74,6 +74,8 @@ def test_gen_usage_errors(tmp_path, capsys):
         ["audit", "--m-min", "1", "--m-max", "3"],
         ["audit", "--m-min", "9", "--m-max", "8"],
         ["spectrum", "--graph", gp, "--t-min", "10", "--t-max", "5"],  # an empty t range
+        ["spectrum", "--graph", gp, "--jobs", "0", "--t-min", "4", "--t-max", "4"],
+        ["spectrum", "--graph", gp, "--jobs", "-3", "--t-min", "4", "--t-max", "4"],
     ]
     for argv in rows:
         assert main(argv) == EXIT_USAGE, argv
@@ -134,11 +136,19 @@ def test_solve_deep_graph(tmp_path, capsys):
 
 
 def test_spectrum_past_the_chromatic_index_search_limit(tmp_path, capsys):
-    # An odd cycle over 64 edges: the exact chromatic-index search refuses it.
+    # An odd cycle over 64 edges: the exact chromatic-index search refuses it,
+    # so the window starts at the max degree and the search settles t = 2.
     gp = _write_graph(tmp_path, gen_cycle(71))
-    assert main(["spectrum", "--graph", gp]) == EXIT_BUDGET
-    err = capsys.readouterr().err
-    assert "error:" in err and "internal error" not in err
+    assert main(["spectrum", "--graph", gp, "--t-max", "3"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["t_min"], payload["t_max"]) == (2, 3)
+    outcomes = payload["outcomes"]
+    assert (outcomes["2"]["status"], outcomes["2"]["nodes"]) == ("not-colorable", 70)
+    assert (outcomes["3"]["status"], outcomes["3"]["nodes"]) == ("colorable", 71)
+    # a budget still ends in its own exit code
+    argv = ["spectrum", "--graph", gp, "--t-min", "4", "--t-max", "4", "--budget-nodes", "1000"]
+    assert main(argv) == EXIT_BUDGET
+    assert json.loads(capsys.readouterr().out)["outcomes"]["4"]["status"] == "budget-exceeded"
 
 
 def test_solve_flag_variants(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -17,7 +18,7 @@ from cycolor.coloring import (
     verdict_to_dict,
 )
 from cycolor.errors import InputError, UsageError
-from cycolor.families import gen_cycle, gen_path, gen_random_tree, gen_star
+from cycolor.families import gen_cycle, gen_gm, gen_path, gen_random_tree, gen_star
 from cycolor.graphs import build_graph
 from cycolor.intervals import ColorSet, is_cyclic_interval
 
@@ -147,6 +148,71 @@ def test_checker_matches_arc_predicate_on_random_colorings():
             t = rng.randint(1, min(8, m))
             combo = tuple(rng.randint(1, t) for _ in range(m))
             _checker_palette_condition_agrees(g, Coloring(t, combo))
+
+
+@functools.lru_cache(maxsize=None)
+def _is_arc(colors: frozenset, t: int) -> bool:
+    """Whether `colors` is a cyclic arc of 1..t, by trying every start."""
+    k = len(colors)
+    return k > 0 and any(all((s + i) % t + 1 in colors for i in range(k)) for s in range(t))
+
+
+def _by_definition(g, c):
+    """(ok, [(kind, location)]) written out from the definitions: clashes by
+    counting, per vertex in vertex order; unused colors ascending; then
+    palettes that are no cyclic arc, per vertex in vertex order."""
+    found = []
+    palettes = {v: [c.colors[e] for e in g.incident_edges(v)] for v in g.vertices}
+    for v, seen in palettes.items():
+        found += [("not-proper", v) for x in sorted(set(seen)) if seen.count(x) > 1]
+    found += [("color-unused", str(x)) for x in range(1, c.t + 1) if x not in c.colors]
+    for v, seen in palettes.items():
+        if not _is_arc(frozenset(seen), c.t):
+            found.append(("bad-palette", v))
+    return not found, found
+
+
+def _as_pairs(verdict):
+    return verdict.ok, [(f.kind, f.location) for f in verdict.failures]
+
+
+def test_checker_matches_the_definition_on_every_gm2_assignment():
+    g = gen_gm(2)
+    passed = 0
+    for combo in itertools.product(range(1, 5), repeat=len(g.edges)):
+        c = Coloring(4, combo)
+        want = _by_definition(g, c)
+        assert _as_pairs(check_cyclically_interval(g, c)) == want, combo
+        passed += want[0]
+    assert passed
+
+
+def test_checker_matches_the_definition_on_random_colorings():
+    rng = random.Random(23)
+    diamond = build_graph(
+        ["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "c"), ("b", "d"), ("c", "d")]
+    )
+    for g in (gen_gm(3), gen_random_tree(9, seed=4), gen_cycle(5), diamond):
+        m = len(g.edges)
+        for _ in range(400):
+            t = rng.randint(1, m + 1)
+            c = Coloring(t, tuple(rng.randint(1, t) for _ in range(m)))
+            ok, pairs = _by_definition(g, c)
+            assert _as_pairs(check_cyclically_interval(g, c)) == (ok, pairs), (t, c.colors)
+            proper = [p for p in pairs if p[0] != "bad-palette"]
+            assert _as_pairs(check_proper(g, c)) == (not proper, proper), (t, c.colors)
+
+
+def test_cached_connectivity_still_rejects_on_every_call():
+    split = build_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+    g = gen_path(2)
+    for _ in range(2):
+        for check in (check_proper, check_cyclically_interval):
+            with pytest.raises(InputError, match='checkers accept connected graphs only'):
+                check(split, Coloring(2, (1, 2)))
+            with pytest.raises(InputError, match='coloring has 3 entries but graph has 2 edges'):
+                check(g, Coloring(2, (1, 2, 1)))
+            assert check(g, Coloring(2, (1, 2))).ok
 
 
 def test_json_round_trip():

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cycolor import solver
 from cycolor.coloring import Coloring, check_cyclically_interval
 from cycolor.errors import BudgetError, InputError, UsageError
 from cycolor.families import (
@@ -232,6 +237,75 @@ def test_oracle_methods_agree_and_share_first_certificate():
             assert lit.coloring == vec.coloring  # both lexicographically first
     for g, t in [(gen_cycle(5), 3), (gen_cycle(4), 2), (gen_path(3), 2)]:
         assert count_colorings(g, t, method="literal") == count_colorings(g, t, method="vector")
+
+
+def _lex_index(c: Coloring) -> int:
+    """Position of an assignment in the lex order of all t^|E| assignments."""
+    index = 0
+    for color in c.colors:
+        index = index * c.t + color - 1
+    return index
+
+
+def test_vector_sweep_blocks_agree_with_the_literal_sweep(monkeypatch):
+    cases = [
+        (gen_cycle(5), 3),
+        (gen_cycle(5), 4),
+        (gen_path(4), 3),
+        (gen_path(5), 2),
+        (gen_complete_bipartite(2, 3), 3),
+        (gen_random_tree(7, 2), 4),
+        (gen_gm(2), 4),
+    ]
+    literal = {}
+    for g, t in cases:
+        count = count_colorings(g, t, method="literal")
+        literal[g.edges, t] = (count, brute_force_decide(g, t, method="literal").coloring)
+    for chunk in (7, 64):
+        monkeypatch.setattr(solver, "_CHUNK", chunk)
+        past_first_block = 0
+        for g, t in cases:
+            count, first = literal[g.edges, t]
+            assert count_colorings(g, t, method="vector") == count, (chunk, g.edges, t)
+            assert brute_force_decide(g, t, method="vector").coloring == first, (chunk, t)
+            block = 1
+            while block * t <= chunk:
+                block *= t
+            past_first_block += first is not None and _lex_index(first) >= block
+        assert past_first_block
+
+
+@st.composite
+def _small_cases(draw):
+    """A connected graph on 2..6 vertices and a t with t^|E| <= 5000.
+
+    The graph is a random spanning tree plus any extra edges, so odd cycles
+    (non-bipartite graphs) are drawn too.
+    """
+    n = draw(st.integers(2, 6))
+    names = [f"v{i}" for i in range(n)]
+    edges = [(names[draw(st.integers(0, i - 1))], names[i]) for i in range(1, n)]
+    tree = {frozenset(e) for e in edges}
+    extra = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
+    extra = [e for e in extra if frozenset(e) not in tree]
+    if extra:
+        edges += draw(st.lists(st.sampled_from(extra), unique=True, max_size=4))
+    order = draw(st.permutations(range(len(edges))))
+    g = build_graph(names, [edges[i] for i in order])
+    t_max = 1
+    while t_max <= len(g.edges) and (t_max + 1) ** len(g.edges) <= 5000:
+        t_max += 1
+    return g, draw(st.integers(1, t_max))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(case=_small_cases(), chunk=st.sampled_from([7, 64, 1 << 17]))
+def test_oracle_routes_agree_with_decide_on_random_graphs(case, chunk):
+    g, t = case
+    with mock.patch.object(solver, "_CHUNK", chunk):
+        count = count_colorings(g, t, method="vector")
+    assert count == count_colorings(g, t, method="literal")
+    assert decide(g, t).status == brute_force_decide(g, t).status
 
 
 def test_oracle_count_frozen_values():
