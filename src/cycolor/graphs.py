@@ -156,11 +156,7 @@ def _odd_cycle_witness(u: str, w: str, parent: dict[str, Optional[str]]) -> tupl
     return tuple(head + tail)
 
 
-def chromatic_index(
-    g: Graph,
-    search_edge_limit: int = 64,
-    node_budget: Optional[int] = None,
-) -> int:
+def chromatic_index(g: Graph, search_edge_limit: int = 64) -> int:
     """Exact minimum number of colors in a proper edge coloring.
 
     Bipartite graphs need exactly max-degree colors; everything else needs
@@ -181,13 +177,10 @@ def chromatic_index(
             f"exact chromatic index search limited to {search_edge_limit} edges; "
             f"graph has {len(g.edges)}"
         )
-    from .solver import SolverConfig, decide  # local import: solver depends on graphs
+    from .solver import COLORABLE, SolverConfig, decide  # local import: solver depends on graphs
 
-    cfg = SolverConfig(properness_only=True, node_budget=node_budget)
-    outcome = decide(g, delta, cfg)
-    if outcome.status == "budget-exceeded":
-        raise BudgetError(f"chromatic index search at t={delta} exceeded its budget")
-    return delta if outcome.status == "colorable" else delta + 1
+    outcome = decide(g, delta, SolverConfig(properness_only=True))
+    return delta if outcome.status == COLORABLE else delta + 1
 
 
 # --- interchange -------------------------------------------------------------

@@ -71,16 +71,14 @@ class SolverConfig:
     symmetry_breaking: bool = True
     node_budget: Optional[int] = None
     time_budget: Optional[float] = None
-    edge_order: str = "degree"  # "degree" (degree-sum descending) or "input"
     properness_only: bool = False
 
     def __post_init__(self) -> None:
         if self.node_budget is not None and self.node_budget < 1:
             raise UsageError(f"node_budget must be positive, got {self.node_budget}")
-        if self.time_budget is not None and self.time_budget <= 0:
+        # `not > 0` also refuses NaN, a deadline that never fires
+        if self.time_budget is not None and not self.time_budget > 0:
             raise UsageError(f"time_budget must be positive, got {self.time_budget}")
-        if self.edge_order not in ("degree", "input"):
-            raise UsageError(f"edge_order must be 'degree' or 'input', got {self.edge_order!r}")
 
 
 @dataclass(frozen=True)
@@ -104,9 +102,8 @@ def _validate_t(t) -> None:
         raise UsageError(f"t must be a positive integer, got {t!r}")
 
 
-def _edge_positions(g: Graph, cfg: SolverConfig) -> list[int]:
-    if cfg.edge_order == "input":
-        return list(range(len(g.edges)))
+def _edge_positions(g: Graph) -> list[int]:
+    """The search order: degree sum descending, ties broken by edge index."""
     deg = {v: len(g.adjacency[v]) for v in g.vertices}
     return sorted(range(len(g.edges)), key=lambda i: (-(deg[g.edges[i][0]] + deg[g.edges[i][1]]), i))
 
@@ -143,12 +140,10 @@ def _arc_span_kernel(t: int) -> Callable[[int], int]:
 _FITS, _CUT_PROPER, _CUT_ARC, _CUT_ONTO = 0, 1, 2, 3
 
 
-def _layout(
-    g: Graph, cfg: SolverConfig
-) -> tuple[list[int], list[int], list[int], list[int]]:
+def _layout(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
     """The edge order with integer vertex ids: position p places edge
     order[p], whose endpoints are eu[p] and ev[p]; degree is per vertex id."""
-    order = _edge_positions(g, cfg)
+    order = _edge_positions(g)
     vid = {v: i for i, v in enumerate(g.vertices)}
     eu = [vid[g.edges[e][0]] for e in order]
     ev = [vid[g.edges[e][1]] for e in order]
@@ -207,7 +202,7 @@ def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcom
             reason=f"t={t} exceeds edge count {n_edges}: some color must go unused",
         )
 
-    order, eu, ev, degree = _layout(g, cfg)
+    order, eu, ev, degree = _layout(g)
     step = _make_step(eu, ev, degree, t, cfg.properness_only)
     masks = [0] * len(g.vertices)
     color_count = [0] * (t + 1)
@@ -275,20 +270,17 @@ def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcom
     return SearchOutcome(COLORABLE, coloring=cert, nodes=nodes)
 
 
-def certificate_prefix_survives(
-    g: Graph, cert: Coloring, cfg: Optional[SolverConfig] = None
-) -> bool:
+def certificate_prefix_survives(g: Graph, cert: Coloring) -> bool:
     """Replay a complete coloring along the solver's edge order and report
     whether every prefix clears the search's own prune predicate.
 
     A sound pruner never cuts a prefix of a valid coloring, so this must
     return True for every certificate that passes the checker (the tests
-    lean on exactly that). Only the pruning predicate is replayed — the
-    symmetry-breaking restriction is a search-space choice, not a prune.
+    lean on exactly that). The full prune predicate (i)-(iii) is replayed;
+    the symmetry-breaking restriction is a search-space choice, not a prune.
     """
-    cfg = cfg or SolverConfig()
-    order, eu, ev, degree = _layout(g, cfg)
-    step = _make_step(eu, ev, degree, cert.t, cfg.properness_only)
+    order, eu, ev, degree = _layout(g)
+    step = _make_step(eu, ev, degree, cert.t, properness_only=False)
     masks = [0] * len(g.vertices)
     used: set[int] = set()
     for pos, edge_idx in enumerate(order):

@@ -68,8 +68,10 @@ def test_gen_usage_errors(tmp_path, capsys):
         ["solve", "--graph", gp, "--t", "0"],
         ["solve", "--graph", gp, "--t", "4", "--budget-nodes", "0"],
         ["solve", "--graph", gp, "--t", "4", "--budget-seconds", "0"],
+        ["solve", "--graph", gp, "--t", "4", "--budget-seconds", "nan"],
         ["spectrum", "--graph", gp, "--budget-nodes", "0"],
         ["spectrum", "--graph", gp, "--budget-seconds", "-1"],
+        ["spectrum", "--graph", gp, "--budget-seconds", "nan"],
         ["export-cnf", "--graph", gp, "--t", "0"],
         ["audit", "--m-min", "1", "--m-max", "3"],
         ["audit", "--m-min", "9", "--m-max", "8"],
@@ -153,10 +155,14 @@ def test_spectrum_past_the_chromatic_index_search_limit(tmp_path, capsys):
 
 def test_solve_flag_variants(tmp_path, capsys):
     gp = _write_graph(tmp_path, gen_cycle(5))
-    argv = ["solve", "--graph", gp, "--t", "3", "--edge-order", "input", "--no-symmetry-breaking"]
+    argv = ["solve", "--graph", gp, "--t", "3", "--no-symmetry-breaking"]
     assert main(argv) == EXIT_OK
     cert = coloring_mod.from_json(capsys.readouterr().out)
     assert check_cyclically_interval(gen_cycle(5), cert).ok
+    # the search has one edge order, so there is no flag to choose one
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--graph", gp, "--t", "3", "--edge-order", "input"])
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_spectrum_payload(tmp_path, capsys):
@@ -295,6 +301,15 @@ def test_out_flag_failure(tmp_path, capsys):
     bad_out = str(tmp_path / "no" / "such" / "dir" / "x.json")
     assert main(["solve", "--graph", gp, "--t", "2", "--out", bad_out]) == EXIT_IO
     assert "cannot write" in capsys.readouterr().err
+    assert main(["solve", "--graph", gp, "--t", "2", "--out", str(tmp_path)]) == EXIT_IO
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_out_overwrites_a_longer_file(tmp_path):
+    out = tmp_path / "g.json"
+    out.write_text("x" * 10_000, encoding="utf-8")
+    assert main(["gen", "--family", "path", "--n", "2", "--out", str(out)]) == EXIT_OK
+    assert out.read_text(encoding="utf-8") == graphs.to_json(gen_path(2))
 
 
 def test_module_runs_as_a_script():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 from unittest import mock
 
 import pytest
@@ -19,7 +21,7 @@ from cycolor.families import (
     gen_random_tree,
     gen_star,
 )
-from cycolor.graphs import build_graph
+from cycolor.graphs import build_graph, chromatic_index
 from cycolor.intervals import ColorSet, cyclic_span
 from cycolor.solver import (
     BUDGET_EXCEEDED,
@@ -54,8 +56,20 @@ def test_decide_validates_inputs():
         decide(build_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]), 2)
     with pytest.raises(UsageError, match='node_budget must be positive'):
         SolverConfig(node_budget=0)
-    with pytest.raises(UsageError, match="edge_order must be 'degree' or 'input'"):
-        SolverConfig(edge_order="random")
+    with pytest.raises(UsageError, match='time_budget must be positive, got nan'):
+        SolverConfig(time_budget=float("nan"))
+
+
+def test_the_search_options_are_pinned():
+    # A new search knob doubles the configurations to test: add it here on purpose.
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
+        "symmetry_breaking",
+        "node_budget",
+        "time_budget",
+        "properness_only",
+    ]
+    assert list(inspect.signature(chromatic_index).parameters) == ["g", "search_edge_limit"]
+    assert list(inspect.signature(certificate_prefix_survives).parameters) == ["g", "cert"]
 
 
 def test_decide_immediate_window_cuts():
@@ -119,13 +133,6 @@ def test_symmetry_breaking_preserves_the_answer():
         assert on.status == off.status
 
 
-def test_edge_order_variants_agree():
-    for g, t in [(gen_cycle(5), 3), (gen_gm(2), 5), (gen_cycle(5), 4)]:
-        a = decide(g, t, SolverConfig(edge_order="degree"))
-        b = decide(g, t, SolverConfig(edge_order="input"))
-        assert a.status == b.status
-
-
 def test_budgets_interrupt_instead_of_lying():
     g = gen_gm(2)
     out = decide(g, 7, SolverConfig(node_budget=5))
@@ -147,11 +154,16 @@ def test_prunes_never_cut_a_valid_certificate_prefix():
         (gen_gm(2), 6),
     ]
     for g, t in cases:
+        # Every case has edges that tie on degree sum, so the copy with its
+        # edge list reversed is replayed in a different order.
+        rev = build_graph(g.vertices, g.edges[::-1])
+        m = len(g.edges)
+        assert [m - 1 - e for e in solver._edge_positions(rev)] != solver._edge_positions(g)
         # replay every oracle-validated coloring, not just the solver's own
         seen = 0
         for cert in _all_valid_colorings(g, t):
-            for order in ("degree", "input"):
-                assert certificate_prefix_survives(g, cert, SolverConfig(edge_order=order))
+            assert certificate_prefix_survives(g, cert)
+            assert certificate_prefix_survives(rev, Coloring(t, cert.colors[::-1]))
             seen += 1
             if seen == 50:
                 break
