@@ -50,6 +50,9 @@ STEP_CLASH = "incompatibility"
 
 STEP_ORDER = (STEP_BOUNDS, STEP_GAP, STEP_MEMBER, STEP_UNION, STEP_ARC, STEP_CLASH)
 
+# audit_range re-sweeps every k0 as a self-check for m up to this.
+EXHAUSTIVE_LIMIT = 12
+
 ASSUMPTIONS = (
     "hub palette is an arc of length m^2, rotated to [1, m^2] "
     "(color rotation preserves validity; exercised by the solver tests)",
@@ -269,12 +272,12 @@ class RangeSummary:
     all_passed: bool
 
 
-def audit_range(m_lo: int, m_hi: int, exhaustive_limit: int = 12) -> RangeSummary:
+def audit_range(m_lo: int, m_hi: int) -> RangeSummary:
     """Audit every m in [m_lo, m_hi] at the two k0 endpoints.
 
     Every k0-dependent condition is nondecreasing in k0 and the decisive
     lower bound is k0-free, so the endpoints determine the whole k0 range;
-    for m <= exhaustive_limit that argument is cross-checked by sweeping
+    for m <= EXHAUSTIVE_LIMIT that argument is cross-checked by sweeping
     every k0 and insisting the passing set is exactly what the endpoints
     predict.
     """
@@ -289,7 +292,7 @@ def audit_range(m_lo: int, m_hi: int, exhaustive_limit: int = 12) -> RangeSummar
             raise InternalError(
                 f"monotonicity violated at m={m}: k0=0 passes but k0={k0_hi} fails"
             )
-        exhaustive = m <= exhaustive_limit
+        exhaustive = m <= EXHAUSTIVE_LIMIT
         if exhaustive:
             results = [audit(AuditParams(m=m, k0=k0)).passed for k0 in range(k0_hi + 1)]
             for earlier, later in zip(results, results[1:]):

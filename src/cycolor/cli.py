@@ -179,7 +179,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    summary = audit_range(args.m_min, args.m_max, args.exhaustive_limit)
+    summary = audit_range(args.m_min, args.m_max)
     _emit(json.dumps(summary_to_dict(summary), indent=2) + "\n", args.out)
     for entry in summary.entries:
         verdict = "pass" if entry.passed else f"FAIL at {entry.failing_step}"
@@ -253,8 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="audit the impossibility argument over an m range")
     p.add_argument("--m-min", type=int, required=True)
     p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--exhaustive-limit", type=int, default=12,
-                   help="sweep every k0 exhaustively for m up to this value")
     p.add_argument("--out", help="write summary JSON to file")
     p.set_defaults(func=_cmd_audit)
 

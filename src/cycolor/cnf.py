@@ -11,7 +11,8 @@ Variables (1-based DIMACS indices):
 Clauses: exactly one color per edge; at most one incident edge per
 (vertex, color); exactly one arc start per vertex, with links forcing
 every color used at v into the selected arc; and one clause per color
-demanding some edge uses it (surjectivity).
+demanding some edge uses it (surjectivity). The arcs, and so the starts
+that cover each color, come from `intervals.arc_masks`.
 
 For deg(v) >= t every arc of length deg(v) is the whole palette, making
 the a(v, s) interchangeable; a unit clause pins s = 1 there so satisfying
@@ -20,24 +21,23 @@ assignments correspond one-to-one with valid colorings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .coloring import Coloring, check_cyclically_interval
 from .errors import InputError, UsageError
 from .graphs import Graph, is_connected
-
-
-def arc_colors(start: int, length: int, t: int) -> frozenset[int]:
-    """The cyclic arc of the given length starting at `start`, capped at t."""
-    return frozenset(((start - 1 + i) % t) + 1 for i in range(min(length, t)))
+from .intervals import arc_masks
 
 
 @dataclass(frozen=True)
 class CnfEncoding:
     g: Graph
     t: int
-    num_vars: int
     clauses: tuple[tuple[int, ...], ...]
+
+    @property
+    def num_vars(self) -> int:
+        return (len(self.g.edges) + len(self.g.vertices)) * self.t
 
     def edge_var(self, e: int, c: int) -> int:
         return e * self.t + c
@@ -55,7 +55,7 @@ class CnfEncoding:
                 lines.append(f"c var {self.arc_var(v_idx, s)} : vertex {v} arc-start {s}")
         lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
         for clause in self.clauses:
-            lines.append(" ".join(str(lit) for lit in clause) + " 0")
+            lines.append(" ".join(map(str, (*clause, 0))))
         return "\n".join(lines) + "\n"
 
     def decode_model(self, true_vars: set[int], verify: bool = True) -> Coloring:
@@ -84,18 +84,12 @@ class CnfEncoding:
         for e, c in enumerate(cert.colors):
             true_vars.add(self.edge_var(e, c))
         for v_idx, v in enumerate(self.g.vertices):
-            deg = len(self.g.adjacency[v])
-            if deg >= self.t:
-                true_vars.add(self.arc_var(v_idx, 1))
-                continue
-            palette = {cert.colors[i] for _, i in self.g.adjacency[v]}
+            arcs = arc_masks(len(self.g.adjacency[v]), self.t)
+            palette = 0
+            for _, i in self.g.adjacency[v]:
+                palette |= 1 << (cert.colors[i] - 1)
             start = next(
-                (
-                    s
-                    for s in range(1, self.t + 1)
-                    if palette <= arc_colors(s, deg, self.t)
-                ),
-                None,
+                (s for s in range(1, self.t + 1) if palette & ~arcs[s - 1] == 0), None
             )
             if start is None:
                 raise InputError(f"palette at {v} fits no arc; coloring is not valid")
@@ -109,14 +103,9 @@ def encode(g: Graph, t: int) -> CnfEncoding:
     if not is_connected(g):
         raise InputError("CNF export accepts connected graphs only")
     n_edges = len(g.edges)
+    layout = CnfEncoding(g=g, t=t, clauses=())
+    x, a = layout.edge_var, layout.arc_var
     clauses: list[tuple[int, ...]] = []
-
-    def x(e: int, c: int) -> int:
-        return e * t + c
-
-    def a(v_idx: int, s: int) -> int:
-        return n_edges * t + v_idx * t + s
-
     for e in range(n_edges):
         clauses.append(tuple(x(e, c) for c in range(1, t + 1)))
         for c1 in range(1, t + 1):
@@ -136,17 +125,17 @@ def encode(g: Graph, t: int) -> CnfEncoding:
                 clauses.append((-a(v_idx, s1), -a(v_idx, s2)))
         if deg >= t:
             clauses.append((a(v_idx, 1),))
-        covers: dict[int, list[int]] = {
-            c: [s for s in range(1, t + 1) if c in arc_colors(s, deg, t)]
+        arcs = arc_masks(deg, t)
+        covers = [
+            [a(v_idx, s) for s in range(1, t + 1) if arcs[s - 1] >> (c - 1) & 1]
             for c in range(1, t + 1)
-        }
+        ]
         for _, e in g.adjacency[v]:
             for c in range(1, t + 1):
-                clauses.append(tuple([-x(e, c)] + [a(v_idx, s) for s in covers[c]]))
+                clauses.append((-x(e, c), *covers[c - 1]))
     for c in range(1, t + 1):
         clauses.append(tuple(x(e, c) for e in range(n_edges)))
-    num_vars = n_edges * t + len(g.vertices) * t
-    return CnfEncoding(g=g, t=t, num_vars=num_vars, clauses=tuple(clauses))
+    return replace(layout, clauses=tuple(clauses))
 
 
 def export_cnf(g: Graph, t: int) -> str:

@@ -146,6 +146,17 @@ def cyclic_span(q: ColorSet) -> int:
     return q.t - max(gaps)
 
 
+def arc_masks(length: int, t: int) -> list[int]:
+    """The t cyclic arcs of `length` colors as bitmasks (bit c-1 = color c).
+
+    The arc that starts at color s is at index s-1. A length of t or more
+    is capped at t, so every entry is then the whole palette.
+    """
+    run = (1 << min(length, t)) - 1
+    full = (1 << t) - 1
+    return [(run << s | run >> (t - s)) & full for s in range(t)]
+
+
 def union_of_chained_arcs(arcs: list[ColorSet], t: int) -> Optional[ColorSet]:
     """Union a chain of arcs in which consecutive members overlap.
 

@@ -31,10 +31,10 @@ it switches to a blocked numpy sweep: every assignment of the last k edges
 (t^k <= _CHUNK) is laid out once, with each vertex's palette over those
 edges as a bitmask; the assignments of the first edges are walked in lex
 order, and under each one a vertex palette is judged by one lookup in a
-per-degree table of bitmasks that hold exactly deg colors forming an arc
-(`_arc_mask_table`, its own arc formulation). The tests cross-validate
-the two sweeps on overlapping sizes, with blocks as small as a few
-assignments.
+per-degree table over all 2^t bitmasks in which only the t arcs of deg
+colors (`intervals.arc_masks`) are set; it is empty when deg > t. The
+tests cross-validate the two sweeps on overlapping sizes, with blocks as
+small as a few assignments.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 from .coloring import Coloring, check_cyclically_interval
 from .errors import BudgetError, InputError, InternalError, UsageError
 from .graphs import Graph, chromatic_index, is_connected, max_degree
-from .intervals import ColorSet, cyclic_span
+from .intervals import ColorSet, arc_masks, cyclic_span
 
 COLORABLE = "colorable"
 NOT_COLORABLE = "not-colorable"
@@ -296,17 +296,6 @@ def certificate_prefix_survives(g: Graph, cert: Coloring) -> bool:
 
 # --- independent ground truth -------------------------------------------------
 
-def _arc_mask_table(t: int) -> np.ndarray:
-    """tab[mask] is True iff the bit set (bit c-1 = color c) is a cyclic arc."""
-    tab = np.zeros(1 << t, dtype=bool)
-    for start in range(t):
-        mask = 0
-        for length in range(1, t + 1):
-            mask |= 1 << ((start + length - 1) % t)
-            tab[mask] = True
-    return tab
-
-
 def _union(bits: list[int], edges) -> int:
     mask = 0
     for e in edges:
@@ -325,8 +314,8 @@ def _vector_sweep(
     to the first |E| - k edges, are walked in lex order, and each one fixes
     a block of t^k assignments. Within a block a vertex's palette is its
     suffix palette OR the colors its prefix edges carry, judged by one
-    lookup in ok[deg][mask] = (popcount(mask) == deg) & arc[mask]: exactly
-    deg distinct colors (properness) forming an arc. A vertex whose edges
+    lookup in ok[deg], which is True exactly at the arcs of deg colors: deg
+    distinct colors (properness) forming an arc. A vertex whose edges
     all lie in the suffix is judged once per call; one whose edges all lie
     in the prefix is judged once per prefix, and its failure rules out the
     whole block.
@@ -339,8 +328,6 @@ def _vector_sweep(
         raise BudgetError(
             f"vector sweep tabulates 2^t palette shapes; t={t} exceeds {_MAX_VECTOR_T}"
         )
-    arc = _arc_mask_table(t)
-    popcount = np.bitwise_count(np.arange(1 << t, dtype=np.uint32))
     full = (1 << t) - 1
     k = 0
     while k < n_edges and t ** (k + 1) <= _CHUNK:
@@ -360,7 +347,9 @@ def _vector_sweep(
             continue
         deg = len(incident)
         if deg not in ok:
-            ok[deg] = arc & (popcount == deg)
+            ok[deg] = np.zeros(1 << t, dtype=bool)
+            if deg <= t:  # more edges than colors cannot be proper
+                ok[deg][arc_masks(deg, t)] = True
         head = [e for e in incident if e < split]
         if len(head) == deg:
             prefix_only.append((ok[deg], head))

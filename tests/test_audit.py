@@ -165,7 +165,7 @@ def test_audit_range_exhaustive_at_m8():
 
 
 def test_audit_range_beyond_exhaustive_limit():
-    summary = audit_range(13, 14, exhaustive_limit=12)
+    summary = audit_range(13, 14)
     assert summary.all_passed
     assert all(not e.exhaustive_checked for e in summary.entries)
 

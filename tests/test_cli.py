@@ -83,6 +83,11 @@ def test_gen_usage_errors(tmp_path, capsys):
         assert main(argv) == EXIT_USAGE, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "internal error" not in err, argv
+    # the k0 sweep limit is a constant, not a flag
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--m-min", "2", "--m-max", "3", "--exhaustive-limit", "5"])
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --exhaustive-limit 5" in capsys.readouterr().err
 
 
 def test_check_accepts_and_rejects(tmp_path, capsys):

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from cycolor.cnf import arc_colors, encode, export_cnf
+from cycolor.cnf import encode, export_cnf
 from cycolor.coloring import Coloring
 from cycolor.errors import InputError, UsageError
 from cycolor.families import gen_cycle, gen_gm, gen_path, gen_star
@@ -19,13 +19,6 @@ def _satisfies(enc, true_vars):
         if not any((lit > 0) == (abs(lit) in true_vars) for lit in clause):
             return False
     return True
-
-
-def test_arc_colors():
-    assert arc_colors(3, 2, 4) == frozenset({3, 4})
-    assert arc_colors(4, 2, 4) == frozenset({4, 1})
-    assert arc_colors(2, 5, 3) == frozenset({1, 2, 3})
-    assert arc_colors(1, 1, 6) == frozenset({1})
 
 
 def test_variable_numbering_frozen():
@@ -117,6 +110,9 @@ def test_dimacs_shape():
     assert text.endswith("\n")
     # first edge clause: edge 0 takes color 1 or 2
     assert body[0] == "1 2 0"
+    # a lone vertex at t=1: its one arc start, then an empty surjectivity clause
+    text = export_cnf(build_graph(["a"], []), 1)
+    assert text.splitlines()[-3:] == ["p cnf 1 2", "1 0", "0"]
 
 
 def test_comment_block_names_every_variable():

@@ -10,6 +10,7 @@ from cycolor.errors import BudgetError, InputError, UsageError
 from cycolor.intervals import (
     ColorSet,
     CyclicIntervalSpec,
+    arc_masks,
     cyclic_span,
     intcyc,
     intcyc_contains,
@@ -204,6 +205,27 @@ def test_span_bounds_and_arc_equality():
         q = ColorSet.of(t, members)
         assert cyclic_span(q) >= len(q)
         assert (cyclic_span(q) == len(q)) == is_cyclic_interval(q)
+
+
+# --- arcs as bitmasks --------------------------------------------------------
+
+def test_arc_masks_are_every_arc_of_each_length():
+    for t in range(1, 11):
+        spans = {
+            mask: cyclic_span(ColorSet.of(t, [b + 1 for b in range(t) if mask >> b & 1]))
+            for mask in range(1, 1 << t)
+        }
+        for length in range(1, t + 2):
+            size = min(length, t)
+            masks = arc_masks(length, t)
+            assert len(masks) == t
+            for s, mask in enumerate(masks, start=1):
+                expected = {(s - 1 + i) % t + 1 for i in range(size)}
+                assert {b + 1 for b in range(t) if mask >> b & 1} == expected, (t, length, s)
+                assert mask < 1 << t and spans[mask] == size
+            if length <= t:
+                every = {m for m, span in spans.items() if span == bin(m).count("1") == length}
+                assert set(masks) == every, (t, length)
 
 
 # --- chained unions ----------------------------------------------------------

@@ -249,6 +249,10 @@ def test_oracle_methods_agree_and_share_first_certificate():
             assert lit.coloring == vec.coloring  # both lexicographically first
     for g, t in [(gen_cycle(5), 3), (gen_cycle(4), 2), (gen_path(3), 2)]:
         assert count_colorings(g, t, method="literal") == count_colorings(g, t, method="vector")
+    # deg 3 > t: no palette of the center is an arc of 3 colors
+    for method in ("literal", "vector"):
+        assert count_colorings(gen_star(3), 2, method=method) == 0
+        assert brute_force_decide(gen_star(3), 2, method=method).status == NOT_COLORABLE
 
 
 def _lex_index(c: Coloring) -> int:
