@@ -11,6 +11,11 @@ search over edge assignments with three sound prunes:
   (iii) the number of still-unassigned edges must cover the number of
         still-unused colors (surjectivity).
 
+Edges are placed in one connected depth-first order (`_edge_positions`),
+from the first vertex of maximum degree: its edges come first, and every
+later edge shares a vertex with an earlier one, so prunes (i) and (ii)
+judge each palette from its first edge on.
+
 The search is iterative: an explicit stack holds the color placed at each
 edge position, over integer vertex ids and bitmask palettes, so the depth
 of a graph is not bounded by Python's recursion limit. The three prunes
@@ -40,6 +45,7 @@ small as a few assignments.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -103,9 +109,34 @@ def _validate_t(t) -> None:
 
 
 def _edge_positions(g: Graph) -> list[int]:
-    """The search order: degree sum descending, ties broken by edge index."""
+    """The search order: edges in connected depth-first order.
+
+    The root is the first vertex of maximum degree. A stack of vertices
+    starts with the root; popping u appends u's edges not yet placed,
+    sorted by (neighbour degree descending, edge index), and pushes each
+    neighbour reached for the first time in that order, so the last one
+    pushed is expanded next. The root's edges lead, and on a connected
+    graph every later edge shares a vertex with an earlier one, so prunes
+    (i) and (ii) see each palette from its first edge on.
+    """
+    if not g.vertices:
+        return []
     deg = {v: len(g.adjacency[v]) for v in g.vertices}
-    return sorted(range(len(g.edges)), key=lambda i: (-(deg[g.edges[i][0]] + deg[g.edges[i][1]]), i))
+    root = max(g.vertices, key=deg.__getitem__)  # first of maximum degree
+    order: list[int] = []
+    placed = [False] * len(g.edges)
+    seen = {root}
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for w, e in sorted(g.adjacency[u], key=lambda we: (-deg[we[0]], we[1])):
+            if not placed[e]:
+                placed[e] = True
+                order.append(e)
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return order
 
 
 def _mask_span(mask: int, t: int) -> int:
@@ -279,6 +310,8 @@ def certificate_prefix_survives(g: Graph, cert: Coloring) -> bool:
     lean on exactly that). The full prune predicate (i)-(iii) is replayed;
     the symmetry-breaking restriction is a search-space choice, not a prune.
     """
+    if not is_connected(g):  # the edge order covers one component only
+        raise InputError("certificate_prefix_survives accepts connected graphs only")
     order, eu, ev, degree = _layout(g)
     step = _make_step(eu, ev, degree, cert.t, properness_only=False)
     masks = [0] * len(g.vertices)
@@ -457,8 +490,9 @@ def spectrum(
     the max degree instead, and `decide` settles the low end itself: below
     the chromatic index it finds no proper coloring. Ranges outside the
     window are clamped with a warning; a range left empty is a UsageError.
-    Each t is decided independently; jobs > 1 fans them out to worker
-    processes, and jobs < 1 is a UsageError.
+    Each t is decided independently; jobs > 1 fans them out to at most
+    min(jobs, number of t, CPU count) worker processes, and jobs < 1 is a
+    UsageError.
     """
     cfg = cfg or SolverConfig()
     if jobs < 1:
@@ -484,8 +518,10 @@ def spectrum(
         )
     ts = list(range(lo, hi + 1))
     outcomes: dict[int, SearchOutcome] = {}
-    if jobs > 1 and len(ts) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool forks all its workers up front, so start no more than can run
+    workers = min(jobs, len(ts), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for t, out in pool.map(_decide_task, [(g, t, cfg) for t in ts]):
                 outcomes[t] = out
     else:

@@ -52,8 +52,11 @@ def test_decide_validates_inputs():
         decide(g, 0)
     with pytest.raises(UsageError, match="t must be a positive integer, got '3'"):
         decide(g, "3")
+    two_parts = build_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     with pytest.raises(InputError, match='decide accepts connected graphs only'):
-        decide(build_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]), 2)
+        decide(two_parts, 2)
+    with pytest.raises(InputError, match='prefix_survives accepts connected graphs only'):
+        certificate_prefix_survives(two_parts, Coloring(2, (1, 2)))
     with pytest.raises(UsageError, match='node_budget must be positive'):
         SolverConfig(node_budget=0)
     with pytest.raises(UsageError, match='time_budget must be positive, got nan'):
@@ -154,9 +157,10 @@ def test_prunes_never_cut_a_valid_certificate_prefix():
         (gen_gm(2), 6),
     ]
     for g, t in cases:
-        # Every case has edges that tie on degree sum, so the copy with its
-        # edge list reversed is replayed in a different order.
-        rev = build_graph(g.vertices, g.edges[::-1])
+        # The copy with its vertex and edge lists both reversed picks another
+        # root or breaks neighbour ties the other way, so it is replayed in
+        # a different order in every case.
+        rev = build_graph(g.vertices[::-1], g.edges[::-1])
         m = len(g.edges)
         assert [m - 1 - e for e in solver._edge_positions(rev)] != solver._edge_positions(g)
         # replay every oracle-validated coloring, not just the solver's own
@@ -321,7 +325,25 @@ def test_oracle_routes_agree_with_decide_on_random_graphs(case, chunk):
     with mock.patch.object(solver, "_CHUNK", chunk):
         count = count_colorings(g, t, method="vector")
     assert count == count_colorings(g, t, method="literal")
-    assert decide(g, t).status == brute_force_decide(g, t).status
+    want = brute_force_decide(g, t).status
+    assert decide(g, t).status == want
+    assert decide(g, t, SolverConfig(symmetry_breaking=False)).status == want
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(case=_small_cases())
+def test_edge_order_is_connected_depth_first_from_a_max_degree_root(case):
+    g, _ = case
+    order = solver._edge_positions(g)
+    assert sorted(order) == list(range(len(g.edges)))
+    assert solver._edge_positions(g) == order
+    delta = max(g.degree(v) for v in g.vertices)
+    root = next(v for v in g.vertices if g.degree(v) == delta)
+    assert set(order[:delta]) == set(g.incident_edges(root))
+    touched = set(g.edges[order[0]])
+    for e in order[1:]:
+        assert touched & set(g.edges[e]), (g.edges, order, e)
+        touched.update(g.edges[e])
 
 
 def test_oracle_count_frozen_values():
@@ -371,6 +393,35 @@ def test_spectrum_parallel_matches_serial():
     }
 
 
+def test_spectrum_pool_is_capped_by_window_and_cpus(monkeypatch):
+    """A pool forks all its workers up front, so it gets at most one per t
+    and per CPU. A serial stand-in records the size; no process starts."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", SerialPool)
+    g = gen_gm(2)  # a 5-t window, 4..8
+    serial = {t: o.status for t, o in spectrum(g).outcomes.items()}
+    for cpus, want in ((64, [5]), (3, [3]), (1, []), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr(solver.os, "cpu_count", lambda: cpus)
+        res = spectrum(g, jobs=5000)
+        assert sizes == want, cpus
+        assert {t: o.status for t, o in res.outcomes.items()} == serial
+
+
 def test_spectrum_of_random_trees_is_nonempty():
     for seed in (1, 2, 3):
         g = gen_random_tree(7, seed)
@@ -392,10 +443,10 @@ def test_node_counts_are_pinned():
     test, must leave every count here unchanged.
     """
     expected = [
-        (gen_gm(2), {4: (COLORABLE, 9), 5: (COLORABLE, 10), 6: (COLORABLE, 22),
+        (gen_gm(2), {4: (COLORABLE, 8), 5: (COLORABLE, 18), 6: (COLORABLE, 38),
                      7: (NOT_COLORABLE, 733), 8: (NOT_COLORABLE, 394)}),
-        (gen_gm(3), {9: (COLORABLE, 127), 10: (COLORABLE, 1024), 11: (COLORABLE, 696),
-                     12: (COLORABLE, 673), 13: (COLORABLE, 6600)}),
+        (gen_gm(3), {9: (COLORABLE, 103), 10: (COLORABLE, 532), 11: (COLORABLE, 860),
+                     12: (COLORABLE, 3573), 13: (COLORABLE, 6250)}),
     ]
     for g, table in expected:
         for t, (status, nodes) in table.items():
@@ -403,6 +454,24 @@ def test_node_counts_are_pinned():
             assert (out.status, out.nodes) == (status, nodes), t
     out = decide(gen_gm(3), 14, SolverConfig(node_budget=10_000))
     assert (out.status, out.nodes) == (BUDGET_EXCEEDED, 10_001)
+
+
+def test_gm4_low_end_is_colorable_within_a_small_budget():
+    """The connected depth-first order colors gm(4) at t=16 and t=17 within
+    20,000 nodes."""
+    g = gen_gm(4)
+    for t in (16, 17):
+        out = decide(g, t, SolverConfig(node_budget=20_000))
+        assert out.status == COLORABLE, t
+        assert check_cyclically_interval(g, out.coloring).ok, t
+
+
+def test_edgeless_graphs_are_trivially_colorable():
+    cfg = SolverConfig(properness_only=True)
+    for g in (build_graph([], []), build_graph(["a"], [])):
+        assert solver._edge_positions(g) == []
+        out = decide(g, 1, cfg)
+        assert (out.status, out.coloring) == (COLORABLE, Coloring(1, ()))
 
 
 def test_arc_span_kernel_matches_the_interval_algebra():
