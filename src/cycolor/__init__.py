@@ -27,7 +27,6 @@ from .graphs import (
     NotBipartite,
     bipartition,
     build_graph,
-    chromatic_index,
     is_connected,
     max_degree,
 )
@@ -48,6 +47,7 @@ from .solver import (
     SolverConfig,
     SpectrumResult,
     brute_force_decide,
+    chromatic_index,
     count_colorings,
     decide,
     spectrum,

@@ -27,7 +27,7 @@ import json
 import os
 import stat
 import sys
-from typing import Optional
+from typing import Callable, Collection, Optional, TypeVar
 
 from . import cnf as cnf_mod
 from . import coloring as coloring_mod
@@ -40,6 +40,9 @@ EXIT_CHECKED_FALSE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_BUDGET = 4
+
+T = TypeVar("T")
+
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
@@ -59,28 +62,26 @@ def _emit(text: str, out: Optional[str]) -> None:
             raise InputError(f"cannot write {out}: {exc}") from exc
 
 
-def _read(path: str) -> str:
+def _load(path: str, parse: Callable[[str], T]) -> T:
+    """Read a file and parse it, naming the file in any InputError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_graph(path: str) -> graphs.Graph:
-    text = _read(path)
     try:
-        return graphs.from_json(text)
+        return parse(text)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _load_coloring(path: str) -> coloring_mod.Coloring:
-    text = _read(path)
-    try:
-        return coloring_mod.from_json(text)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+def _exit_for(statuses: Collection[str]) -> int:
+    """0 when some outcome is colorable, else 4 when a budget ran out, else 1."""
+    if solver.COLORABLE in statuses:
+        return EXIT_OK
+    if solver.BUDGET_EXCEEDED in statuses:
+        return EXIT_BUDGET
+    return EXIT_CHECKED_FALSE
 
 
 def _outcome_dict(out: solver.SearchOutcome) -> dict:
@@ -119,15 +120,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    cert = _load_coloring(args.coloring)
+    g = _load(args.graph, graphs.from_json)
+    cert = _load(args.coloring, coloring_mod.from_json)
     verdict = coloring_mod.check_cyclically_interval(g, cert)
     _emit(json.dumps(coloring_mod.verdict_to_dict(verdict), indent=2) + "\n", args.out)
     return EXIT_OK if verdict.ok else EXIT_CHECKED_FALSE
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, graphs.from_json)
     cfg = solver.SolverConfig(
         symmetry_breaking=not args.no_symmetry_breaking,
         node_budget=args.budget_nodes,
@@ -138,15 +139,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         assert out.coloring is not None
         _emit(coloring_mod.to_json(out.coloring), args.out)
         print(f"colorable: t={args.t}, {out.nodes} nodes", file=sys.stderr)
-        return EXIT_OK
-    _emit(json.dumps(_outcome_dict(out), indent=2) + "\n", args.out)
-    if out.status == solver.BUDGET_EXCEEDED:
-        return EXIT_BUDGET
-    return EXIT_CHECKED_FALSE
+    else:
+        _emit(json.dumps(_outcome_dict(out), indent=2) + "\n", args.out)
+    return _exit_for({out.status})
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, graphs.from_json)
     cfg = solver.SolverConfig(
         node_budget=args.budget_nodes, time_budget=args.budget_seconds
     )
@@ -170,12 +169,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     for t in sorted(result.outcomes):
         out = result.outcomes[t]
         print(f"t={t:>4}  {out.status:<16} nodes={out.nodes}", file=sys.stderr)
-    statuses = {o.status for o in result.outcomes.values()}
-    if solver.COLORABLE in statuses:
-        return EXIT_OK
-    if solver.BUDGET_EXCEEDED in statuses:
-        return EXIT_BUDGET
-    return EXIT_CHECKED_FALSE
+    return _exit_for({o.status for o in result.outcomes.values()})
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -189,20 +183,16 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_cnf(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, graphs.from_json)
     _emit(cnf_mod.export_cnf(g, args.t), args.out)
     return EXIT_OK
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, graphs.from_json)
     cert = None
     if args.coloring is not None:
-        cert = _load_coloring(args.coloring)
-        if len(cert.colors) != len(g.edges):
-            raise InputError(
-                f"coloring has {len(cert.colors)} entries but graph has {len(g.edges)} edges"
-            )
+        cert = _load(args.coloring, coloring_mod.from_json)
     _emit(graphs.to_dot(g, cert), args.out)
     return EXIT_OK
 

@@ -21,6 +21,7 @@ assignments correspond one-to-one with valid colorings.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 
 from .coloring import Coloring, check_cyclically_interval
@@ -46,13 +47,18 @@ class CnfEncoding:
         return len(self.g.edges) * self.t + v_idx * self.t + s
 
     def to_dimacs(self) -> str:
+        # a label is written as its JSON string without the quotes, so a
+        # line break in it cannot end the comment line
+        name = {v: json.dumps(v, ensure_ascii=False)[1:-1] for v in self.g.vertices}
         lines = []
         for e, (u, v) in enumerate(self.g.edges):
             for c in range(1, self.t + 1):
-                lines.append(f"c var {self.edge_var(e, c)} : edge {e} ({u}--{v}) color {c}")
+                lines.append(
+                    f"c var {self.edge_var(e, c)} : edge {e} ({name[u]}--{name[v]}) color {c}"
+                )
         for v_idx, v in enumerate(self.g.vertices):
             for s in range(1, self.t + 1):
-                lines.append(f"c var {self.arc_var(v_idx, s)} : vertex {v} arc-start {s}")
+                lines.append(f"c var {self.arc_var(v_idx, s)} : vertex {name[v]} arc-start {s}")
         lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
         for clause in self.clauses:
             lines.append(" ".join(map(str, (*clause, 0))))

@@ -9,8 +9,9 @@ complement. Verdicts enumerate every violation so handmade certificates
 can be repaired in one pass.
 
 The palette condition here is written out directly from its two-clause
-form on purpose, independently of intervals.is_cyclic_interval; the test
-suite asserts the two formulations agree.
+form on purpose, independently of intervals.is_cyclic_interval, which is
+the span test of intervals.cyclic_span; the test suite asserts the two
+formulations agree.
 
 Both checkers are one pass over the graph's per-vertex incidence, with each
 palette held as a bitmask; the graph's connectivity is computed once per

@@ -115,8 +115,6 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     vertices = [f"v{k}" for k in range(1, n + 1)]
     if n == 1:
         return build_graph(vertices, [])
-    if n == 2:
-        return build_graph(vertices, [("v1", "v2")])
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]  # 0-based vertex ids
     degree = [1] * n

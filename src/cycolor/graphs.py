@@ -4,6 +4,9 @@ Edge order matters throughout the package: a coloring is a flat list of
 colors aligned with a graph's edge list, so edge index i always means the
 i-th edge as constructed (or as read from JSON). Nothing here reorders
 edges behind the caller's back.
+
+The graph core never calls the search: the chromatic index, which needs
+it on non-bipartite graphs, lives in `cycolor.solver`.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import BudgetError, InputError, UsageError
+from .errors import InputError, UsageError
 
 
 @dataclass(frozen=True)
@@ -156,33 +159,6 @@ def _odd_cycle_witness(u: str, w: str, parent: dict[str, Optional[str]]) -> tupl
     return tuple(head + tail)
 
 
-def chromatic_index(g: Graph, search_edge_limit: int = 64) -> int:
-    """Exact minimum number of colors in a proper edge coloring.
-
-    Bipartite graphs need exactly max-degree colors; everything else needs
-    max-degree or one more, decided by an exact properness-only search.
-    Connected graphs with at least one edge only. The search path refuses
-    non-bipartite graphs with more than `search_edge_limit` edges; raise
-    the limit explicitly to accept the wait.
-    """
-    if not g.edges:
-        raise InputError("chromatic index needs at least one edge")
-    if not is_connected(g):
-        raise InputError("chromatic index requires a connected graph")
-    delta = max_degree(g)
-    if isinstance(bipartition(g), Bipartition):
-        return delta
-    if len(g.edges) > search_edge_limit:
-        raise BudgetError(
-            f"exact chromatic index search limited to {search_edge_limit} edges; "
-            f"graph has {len(g.edges)}"
-        )
-    from .solver import COLORABLE, SolverConfig, decide  # local import: solver depends on graphs
-
-    outcome = decide(g, delta, SolverConfig(properness_only=True))
-    return delta if outcome.status == COLORABLE else delta + 1
-
-
 # --- interchange -------------------------------------------------------------
 
 def to_dict(g: Graph) -> dict:
@@ -219,14 +195,23 @@ def from_json(text: str) -> Graph:
 
 
 def to_dot(g: Graph, coloring=None) -> str:
-    """Render as Graphviz source. With a coloring, edges get color indices as labels."""
+    """Render as Graphviz source. With a coloring, edges get color indices as labels.
+
+    Each vertex label is written as its JSON string, so a quote or a
+    backslash is escaped and a control character cannot break the line.
+    """
+    if coloring is not None and len(coloring.colors) != len(g.edges):
+        raise InputError(
+            f"coloring has {len(coloring.colors)} entries but graph has {len(g.edges)} edges"
+        )
+    ids = {v: json.dumps(v, ensure_ascii=False) for v in g.vertices}
     lines = ["graph g {"]
     for v in g.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {ids[v]};")
     for idx, (u, v) in enumerate(g.edges):
         if coloring is not None:
-            lines.append(f'  "{u}" -- "{v}" [label="{coloring.colors[idx]}"];')
+            lines.append(f'  {ids[u]} -- {ids[v]} [label="{coloring.colors[idx]}"];')
         else:
-            lines.append(f'  "{u}" -- "{v}";')
+            lines.append(f"  {ids[u]} -- {ids[v]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

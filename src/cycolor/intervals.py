@@ -14,6 +14,10 @@ A nonempty Q subset of [1, t] is a t-cyclic interval when it equals some
 closed variant, which is the same as saying Q is an arc of the cycle on
 colors 1..t. Open variants may be empty; the arc predicate rejects the
 empty set.
+
+`cyclic_span` is the one analytic arc: `is_cyclic_interval` is its span
+test, and the solver's prune and prefix replay call it too. The checker in
+`cycolor.coloring` keeps its own two-clause formulation on purpose.
 """
 
 from __future__ import annotations
@@ -112,24 +116,10 @@ def intcyc_contains(spec: CyclicIntervalSpec, color: int) -> bool:
     return (not in_open1) if spec.closed else (not in_closed1)
 
 
-def _is_contiguous(sorted_colors: list[int]) -> bool:
-    return bool(sorted_colors) and sorted_colors[-1] - sorted_colors[0] + 1 == len(sorted_colors)
-
-
 def is_cyclic_interval(q: ColorSet) -> bool:
-    """True iff q is a nonempty arc of the cycle on colors 1..t.
-
-    Equivalent characterization: q is a plain interval of [1, t], or the
-    complement of q in [1, t] is a nonempty plain interval touching neither
-    1 nor t, or q is all of [1, t].
-    """
-    if not q.members:
-        return False
-    xs = q.sorted_members()
-    if _is_contiguous(xs):
-        return True
-    comp = sorted(frozenset(range(1, q.t + 1)) - q.members)
-    return _is_contiguous(comp) and comp[0] != 1 and comp[-1] != q.t
+    """True iff q is a nonempty arc of the cycle on colors 1..t: a nonempty
+    set whose cyclic span equals its size."""
+    return bool(q.members) and cyclic_span(q) == len(q)
 
 
 def cyclic_span(q: ColorSet) -> int:

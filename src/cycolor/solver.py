@@ -56,7 +56,7 @@ import numpy as np
 
 from .coloring import Coloring, check_cyclically_interval
 from .errors import BudgetError, InputError, InternalError, UsageError
-from .graphs import Graph, chromatic_index, is_connected, max_degree
+from .graphs import Bipartition, Graph, bipartition, is_connected, max_degree
 from .intervals import ColorSet, arc_masks, cyclic_span
 
 COLORABLE = "colorable"
@@ -470,6 +470,31 @@ def count_colorings(
 
 
 # --- spectra ------------------------------------------------------------------
+
+def chromatic_index(g: Graph, search_edge_limit: int = 64) -> int:
+    """Exact minimum number of colors in a proper edge coloring.
+
+    Bipartite graphs need exactly max-degree colors; everything else needs
+    max-degree or one more, decided by an exact properness-only search.
+    Connected graphs with at least one edge only. The search path refuses
+    non-bipartite graphs with more than `search_edge_limit` edges; raise
+    the limit explicitly to accept the wait.
+    """
+    if not g.edges:
+        raise InputError("chromatic index needs at least one edge")
+    if not is_connected(g):
+        raise InputError("chromatic index requires a connected graph")
+    delta = max_degree(g)
+    if isinstance(bipartition(g), Bipartition):
+        return delta
+    if len(g.edges) > search_edge_limit:
+        raise BudgetError(
+            f"exact chromatic index search limited to {search_edge_limit} edges; "
+            f"graph has {len(g.edges)}"
+        )
+    outcome = decide(g, delta, SolverConfig(properness_only=True))
+    return delta if outcome.status == COLORABLE else delta + 1
+
 
 def _decide_task(args: tuple[Graph, int, SolverConfig]) -> tuple[int, SearchOutcome]:
     g, t, cfg = args

@@ -22,7 +22,7 @@ from cycolor.families import (
     gen_random_tree,
     gen_star,
 )
-from cycolor.graphs import Bipartition, bipartition, chromatic_index, max_degree
+from cycolor.graphs import Bipartition, bipartition, max_degree
 from cycolor.intervals import (
     ColorSet,
     CyclicIntervalSpec,
@@ -35,6 +35,7 @@ from cycolor.solver import (
     COLORABLE,
     NOT_COLORABLE,
     brute_force_decide,
+    chromatic_index,
     decide,
     spectrum,
 )

@@ -133,6 +133,10 @@ def test_solve_budget_exit(tmp_path, capsys):
     assert main(["solve", "--graph", gp, "--t", "7", "--budget-nodes", "3"]) == EXIT_BUDGET
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "budget-exceeded"
+    gp = _write_graph(tmp_path, gen_gm(3), "gm3.json")
+    assert main(["solve", "--graph", gp, "--t", "14", "--budget-seconds", "0.05"]) == EXIT_BUDGET
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["reason"] == "time budget 0.05s exhausted"
 
 
 def test_solve_deep_graph(tmp_path, capsys):

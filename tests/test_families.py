@@ -136,6 +136,9 @@ def test_random_tree_is_deterministic_per_seed():
     assert a == b
     c = gen_random_tree(7, seed=2)
     assert c.edges != a.edges
+    # the Pruefer sequence of n=2 is empty: every seed decodes the one edge
+    for seed in range(3):
+        assert gen_random_tree(2, seed).edges == (("v1", "v2"),)
 
 
 def test_random_tree_is_a_tree():

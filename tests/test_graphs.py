@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import json
+import re
 
 import pytest
 
+from cycolor.cnf import export_cnf
+from cycolor.coloring import Coloring
 from cycolor.errors import BudgetError, InputError, UsageError
 from cycolor.families import gen_complete_bipartite, gen_cycle, gen_gm, gen_path, gen_star
 from cycolor.graphs import (
@@ -13,13 +17,13 @@ from cycolor.graphs import (
     NotBipartite,
     bipartition,
     build_graph,
-    chromatic_index,
     from_json,
     is_connected,
     max_degree,
     to_dot,
     to_json,
 )
+from cycolor.solver import chromatic_index
 
 
 def _k4():
@@ -165,11 +169,35 @@ def test_json_rejects_malformed_payloads():
 
 
 def test_dot_output_with_and_without_colors():
-    from cycolor.coloring import Coloring
-
     g = gen_path(2)
     plain = to_dot(g)
     assert '"v1" -- "v2";' in plain
     labeled = to_dot(g, Coloring(2, (1, 2)))
     assert '"v1" -- "v2" [label="1"];' in labeled
     assert '"v2" -- "v3" [label="2"];' in labeled
+    with pytest.raises(InputError, match="coloring has 1 entries but graph has 2 edges"):
+        to_dot(g, Coloring(2, (1,)))
+
+
+_DOT_ID = r'"(?:[^"\\]|\\.)*"'  # a DOT quoted string: \" and \\ are escapes
+
+
+def test_vertex_labels_cannot_break_dot_or_dimacs_lines():
+    names = ["a\np cnf 1 1", 'b"c', "d\\e", "f\rg"]
+    g = build_graph(names, list(zip(names, names[1:])))
+
+    lines = export_cnf(g, 2).splitlines()
+    assert len([ln for ln in lines if ln.startswith("p cnf")]) == 1
+    for ln in lines:
+        assert ln.startswith(("c ", "p cnf ")) or re.fullmatch(r"(-?[1-9]\d* )*0", ln), ln
+    for v in names:  # a comment line names the vertex as its JSON string
+        assert any(f"vertex {json.dumps(v)[1:-1]} arc-start" in ln for ln in lines)
+
+    lines = to_dot(g).splitlines()
+    assert len(lines) == 2 + len(names) + len(g.edges)
+    node_lines = lines[1 : 1 + len(names)]
+    for v, ln in zip(names, node_lines):
+        assert re.fullmatch(rf"  ({_DOT_ID});", ln), ln
+        assert json.loads(ln.strip()[:-1]) == v
+    for ln in lines[1 + len(names) : -1]:
+        assert re.fullmatch(rf"  {_DOT_ID} -- {_DOT_ID};", ln), ln

@@ -21,7 +21,7 @@ from cycolor.families import (
     gen_random_tree,
     gen_star,
 )
-from cycolor.graphs import build_graph, chromatic_index
+from cycolor.graphs import build_graph
 from cycolor.intervals import ColorSet, cyclic_span
 from cycolor.solver import (
     BUDGET_EXCEEDED,
@@ -32,6 +32,7 @@ from cycolor.solver import (
     _arc_span_kernel,
     brute_force_decide,
     certificate_prefix_survives,
+    chromatic_index,
     count_colorings,
     decide,
     spectrum,
@@ -57,6 +58,10 @@ def test_decide_validates_inputs():
         decide(two_parts, 2)
     with pytest.raises(InputError, match='prefix_survives accepts connected graphs only'):
         certificate_prefix_survives(two_parts, Coloring(2, (1, 2)))
+    with pytest.raises(InputError, match='brute force accepts connected graphs only'):
+        count_colorings(two_parts, 2)
+    with pytest.raises(UsageError, match="unknown method 'nope'"):
+        count_colorings(g, 2, method="nope")
     with pytest.raises(UsageError, match='node_budget must be positive'):
         SolverConfig(node_budget=0)
     with pytest.raises(UsageError, match='time_budget must be positive, got nan'):
@@ -144,6 +149,11 @@ def test_budgets_interrupt_instead_of_lying():
     # a generous budget reaches the exhaustive answer
     full = decide(g, 7, SolverConfig(node_budget=10**6))
     assert full.status == NOT_COLORABLE
+    # the clock is read every 1024 nodes; gm(3) at t=14 is far out of reach
+    out = decide(gen_gm(3), 14, SolverConfig(time_budget=0.05))
+    assert out.status == BUDGET_EXCEEDED
+    assert out.reason == "time budget 0.05s exhausted"
+    assert out.nodes % 1024 == 0
 
 
 def test_prunes_never_cut_a_valid_certificate_prefix():
@@ -172,6 +182,8 @@ def test_prunes_never_cut_a_valid_certificate_prefix():
             if seen == 50:
                 break
         assert seen > 0
+    # an improper coloring is cut at the edge that repeats a color
+    assert not certificate_prefix_survives(gen_cycle(4), Coloring(2, (1, 1, 2, 2)))
 
 
 def _all_valid_colorings(g, t):
@@ -257,6 +269,8 @@ def test_oracle_methods_agree_and_share_first_certificate():
     for method in ("literal", "vector"):
         assert count_colorings(gen_star(3), 2, method=method) == 0
         assert brute_force_decide(gen_star(3), 2, method=method).status == NOT_COLORABLE
+        # a lone vertex has no edge to carry any color
+        assert count_colorings(build_graph(["a"], []), 2, method=method) == 0
 
 
 def _lex_index(c: Coloring) -> int:
@@ -355,6 +369,8 @@ def test_oracle_count_frozen_values():
 def test_oracle_cap():
     with pytest.raises(BudgetError, match='exceed the cap 1000'):
         brute_force_decide(gen_gm(2), 8, cap=1000)
+    with pytest.raises(BudgetError, match='t=21 exceeds 20'):
+        count_colorings(gen_path(6), 21)
 
 
 def test_spectrum_star_is_a_single_point():
