@@ -18,12 +18,23 @@ judge each palette from its first edge on.
 
 The search is iterative: an explicit stack holds the color placed at each
 edge position, over integer vertex ids and bitmask palettes, so the depth
-of a graph is not bounded by Python's recursion limit. The three prunes
-are one step predicate (`_make_step`), which `certificate_prefix_survives`
-replays too.
-Prune (ii) looks the span up in a memo made for each search and keyed on
-the palette rotated so that its lowest color is color 1 (`_arc_span_kernel`);
-a miss is computed by `cyclic_span`, the one definition of an arc.
+of a graph is not bounded by Python's recursion limit. It judges all colors
+of a position at once (`_search`). Each vertex keeps a window: the colors c
+with cyclic_span(palette | c) <= deg, set when a color is placed at the
+vertex and restored on undo. A position's candidates are the proper colors
+from the next one to try on; those in both endpoints' windows clear prune
+(ii), and prune (iii) keeps all of them, only the unused ones, or none.
+The lowest survivor is placed. One node is one color that clears prune (i),
+so a position counts its proper colors up to the one placed, or all of them
+when none survives; the node budget stops at exactly budget + 1 nodes, and
+the clock is read whenever the count crosses a multiple of 1024. The
+prefix replay (`certificate_prefix_survives`) is the same search allowed
+only the certificate's color at each position, so the two cannot drift.
+Windows come from a memo made for each search and keyed on the palette
+rotated so that its lowest color is color 1, and on the degree
+(`_window_kernel`); a miss judges each color by the span memo
+(`_arc_span_kernel`), whose misses are computed by `cyclic_span`, the one
+definition of an arc.
 
 Certificates are re-verified with the checker before being returned, and
 "not colorable" is only ever reported after an exhaustive search; running
@@ -167,8 +178,37 @@ def _arc_span_kernel(t: int) -> Callable[[int], int]:
     return span
 
 
-# Which prune cut a step; `_make_step` returns one of these.
-_FITS, _CUT_PROPER, _CUT_ARC, _CUT_ONTO = 0, 1, 2, 3
+def _window_kernel(t: int) -> Callable[[int, int], int]:
+    """A memoized arc window for one palette size t.
+
+    window(mask, d) is the bitmask of the colors c with
+    cyclic_span(mask | c) <= d: the colors that a vertex of degree d whose
+    palette is the nonempty `mask` may still take under prune (ii). Like the
+    span memo, the window memo is keyed on the mask rotated until its lowest
+    color is color 1 (and on d), and a hit is rotated back. A miss judges
+    each color through the span memo, so `cyclic_span` stays the one
+    definition of an arc; a color at cyclic distance d or more from color 1
+    is skipped, as no arc of d colors holds both.
+    """
+    full = (1 << t) - 1
+    span = _arc_span_kernel(t)
+    windows: dict[int, int] = {}
+
+    def window(mask: int, d: int) -> int:
+        if d >= t:
+            return full
+        low = (mask & -mask).bit_length() - 1
+        key = mask >> low
+        got = windows.get(key * t + d)
+        if got is None:
+            got = 0
+            for b in range(t):
+                if (b < d or t - b < d) and span(key | 1 << b) <= d:
+                    got |= 1 << b
+            windows[key * t + d] = got
+        return (got << low | got >> (t - low)) & full
+
+    return window
 
 
 def _layout(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -181,33 +221,115 @@ def _layout(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
     return order, eu, ev, [len(g.adjacency[v]) for v in g.vertices]
 
 
-def _make_step(
-    eu: list[int], ev: list[int], degree: list[int], t: int, properness_only: bool
-) -> Callable[[int, int, list[int], int], int]:
-    """The prune predicate the search runs at every step.
+def _search(
+    eu: list[int],
+    ev: list[int],
+    degree: list[int],
+    t: int,
+    allowed: list[int],
+    cfg: SolverConfig,
+) -> tuple[SearchOutcome, list[int]]:
+    """The depth-first search over the positions of `_layout`, with the
+    prunes judged a whole position at a time on bitmasks (bit c-1 = color c).
 
-    step(pos, bit, masks, used) judges placing color bit (bit c-1 = color c)
-    at position pos, given the vertex palettes `masks` before the placement
-    and the number of distinct colors `used` after it. It returns _FITS or
-    the first prune that cuts: _CUT_PROPER (i), _CUT_ARC (ii), _CUT_ONTO (iii).
+    allowed[p] holds the colors the search may place at position p: `decide`
+    narrows position 0 to color 1 under symmetry breaking, and the prefix
+    replay allows each position only its certificate's color. Of cfg, only
+    properness_only and the budgets are read. Returns the outcome, without
+    a coloring, and the color bit placed at each position, which is a
+    complete assignment when the outcome is COLORABLE.
     """
     n_edges = len(eu)
-    span = _arc_span_kernel(t)
+    full = (1 << t) - 1
+    window = _window_kernel(t)
+    masks = [0] * len(degree)
+    # A vertex's window is the set of colors that keep its palette within
+    # an arc of deg colors, prune (ii). It stays full under properness_only
+    # or when deg >= t, and nothing reads it after the vertex's last edge,
+    # so grow_u[p] says whether placing at p narrows eu[p]'s window.
+    wins = [full] * len(degree)
+    last = {}
+    for p in range(n_edges):
+        last[eu[p]] = last[ev[p]] = p
+    arcs = not cfg.properness_only
+    grow_u = [arcs and degree[u] < t and last[u] > p for p, u in enumerate(eu)]
+    grow_v = [arcs and degree[v] < t and last[v] > p for p, v in enumerate(ev)]
+    saved_u = [0] * n_edges  # the window each placement replaced
+    saved_v = [0] * n_edges
+    # Prune (iii): with k colors used before p, a new color leaves t-k-1 and
+    # a used one t-k unused colors for the n_edges-p-1 edges after p.
+    lack = [t - n_edges + p + 1 if arcs else 0 for p in range(n_edges)]
+    used_before = [0] * (n_edges + 1)  # the colors placed before each position
+    placed = [0] * n_edges  # the color bit at each position
 
-    def step(pos: int, bit: int, masks: list[int], used: int) -> int:
-        mu = masks[eu[pos]]
-        mv = masks[ev[pos]]
-        if (mu | mv) & bit:
-            return _CUT_PROPER
-        if properness_only:
-            return _FITS
-        if span(mu | bit) > degree[eu[pos]] or span(mv | bit) > degree[ev[pos]]:
-            return _CUT_ARC
-        if n_edges - pos - 1 < t - used:
-            return _CUT_ONTO
-        return _FITS
+    budget = cfg.node_budget
+    deadline = None if cfg.time_budget is None else time.monotonic() + cfg.time_budget
+    # The node count at which a budget or the clock is next checked: the
+    # clock is read when the count crosses a multiple of 1024.
+    check = 1024 if budget is None else min(budget + 1, 1024)
+    nodes = 0
 
-    return step
+    pos, nxt = 0, 1  # nxt: the lowest color bit still to try at pos
+    while pos < n_edges:
+        u = eu[pos]
+        v = ev[pos]
+        proper = allowed[pos] & -nxt & ~(masks[u] | masks[v])
+        fit = proper & wins[u] & wins[v]
+        used = used_before[pos]
+        short = lack[pos] - used.bit_count()
+        if short > 0:
+            fit = fit & ~used if short == 1 else 0
+        # A node is a color that clears prune (i): each proper color up to
+        # the first one that fits, or all of them when none fits.
+        if fit:
+            bit = fit & -fit
+            n = nodes + (proper & ((bit << 1) - 1)).bit_count()
+        else:
+            n = nodes + proper.bit_count()
+        if n >= check:
+            mark = (nodes | 1023) + 1
+            if (
+                n >= mark
+                and deadline is not None
+                and (budget is None or mark <= budget)
+                and time.monotonic() > deadline
+            ):
+                reason = f"time budget {cfg.time_budget}s exhausted"
+                return SearchOutcome(BUDGET_EXCEEDED, reason=reason, nodes=mark), placed
+            if budget is not None and n > budget:
+                reason = f"node budget {budget} exhausted"
+                return SearchOutcome(BUDGET_EXCEEDED, reason=reason, nodes=budget + 1), placed
+            check = (n | 1023) + 1
+            if budget is not None and budget < check:
+                check = budget + 1
+        nodes = n
+        if fit:
+            placed[pos] = bit
+            masks[u] |= bit
+            masks[v] |= bit
+            if grow_u[pos]:
+                saved_u[pos] = wins[u]
+                wins[u] = window(masks[u], degree[u])
+            if grow_v[pos]:
+                saved_v[pos] = wins[v]
+                wins[v] = window(masks[v], degree[v])
+            used_before[pos + 1] = used | bit
+            pos, nxt = pos + 1, 1
+        else:  # every color at pos is cut: undo the previous position
+            if pos == 0:
+                return SearchOutcome(NOT_COLORABLE, reason="exhaustive search", nodes=nodes), placed
+            pos -= 1
+            bit = placed[pos]
+            u = eu[pos]
+            v = ev[pos]
+            masks[u] ^= bit
+            masks[v] ^= bit
+            if grow_u[pos]:
+                wins[u] = saved_u[pos]
+            if grow_v[pos]:
+                wins[v] = saved_v[pos]
+            nxt = bit << 1
+    return SearchOutcome(COLORABLE, nodes=nodes), placed
 
 
 def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcome:
@@ -234,60 +356,20 @@ def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcom
         )
 
     order, eu, ev, degree = _layout(g)
-    step = _make_step(eu, ev, degree, t, cfg.properness_only)
-    masks = [0] * len(g.vertices)
-    color_count = [0] * (t + 1)
-    placed = [0] * n_edges  # color at each position
-    used = nodes = 0
-    budget = cfg.node_budget
-    deadline = None if cfg.time_budget is None else time.monotonic() + cfg.time_budget
+    allowed = [(1 << t) - 1] * n_edges
     # Symmetry breaking: color rotation maps any valid coloring to one whose
     # first edge has color 1.
-    first_top = 1 if cfg.symmetry_breaking else t
-
-    pos, color = 0, 1  # the next candidate color at the current position
-    while pos < n_edges:
-        top = first_top if pos == 0 else t
-        while color <= top:
-            bit = 1 << (color - 1)
-            cut = step(pos, bit, masks, used + (color_count[color] == 0))
-            if cut != _CUT_PROPER:
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    reason = f"node budget {budget} exhausted"
-                    return SearchOutcome(BUDGET_EXCEEDED, reason=reason, nodes=nodes)
-                if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-                    reason = f"time budget {cfg.time_budget}s exhausted"
-                    return SearchOutcome(BUDGET_EXCEEDED, reason=reason, nodes=nodes)
-                if cut == _FITS:
-                    break
-            color += 1
-        else:  # every color at pos is cut: undo the previous position
-            if pos == 0:
-                return SearchOutcome(NOT_COLORABLE, reason="exhaustive search", nodes=nodes)
-            pos -= 1
-            color = placed[pos]
-            bit = ~(1 << (color - 1))
-            masks[eu[pos]] &= bit
-            masks[ev[pos]] &= bit
-            color_count[color] -= 1
-            if color_count[color] == 0:
-                used -= 1
-            color += 1
-            continue
-        masks[eu[pos]] |= bit
-        masks[ev[pos]] |= bit
-        if color_count[color] == 0:
-            used += 1
-        color_count[color] += 1
-        placed[pos] = color
-        pos, color = pos + 1, 1
+    if cfg.symmetry_breaking and n_edges:
+        allowed[0] = 1
+    outcome, placed = _search(eu, ev, degree, t, allowed, cfg)
+    if outcome.status != COLORABLE:
+        return outcome
 
     # Every edge is placed. Without properness_only, prune (iii) at the last
     # position has already made sure that every color is used.
     assignment = [0] * n_edges
     for p, e in enumerate(order):
-        assignment[e] = placed[p]
+        assignment[e] = placed[p].bit_length()
     cert = Coloring(t=t, colors=tuple(assignment))
     if cfg.properness_only:
         for v in g.vertices:
@@ -298,33 +380,26 @@ def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcom
         verdict = check_cyclically_interval(g, cert)
         if not verdict.ok:
             raise InternalError("certificate failed re-verification")
-    return SearchOutcome(COLORABLE, coloring=cert, nodes=nodes)
+    return SearchOutcome(COLORABLE, coloring=cert, nodes=outcome.nodes)
 
 
 def certificate_prefix_survives(g: Graph, cert: Coloring) -> bool:
     """Replay a complete coloring along the solver's edge order and report
-    whether every prefix clears the search's own prune predicate.
+    whether every prefix clears the search's own prunes.
 
     A sound pruner never cuts a prefix of a valid coloring, so this must
     return True for every certificate that passes the checker (the tests
-    lean on exactly that). The full prune predicate (i)-(iii) is replayed;
-    the symmetry-breaking restriction is a search-space choice, not a prune.
+    lean on exactly that). The replay is the search itself, allowed only the
+    certificate's color at each position, so prunes (i)-(iii) are judged by
+    the same masks; the symmetry-breaking restriction is a search-space
+    choice, not a prune.
     """
     if not is_connected(g):  # the edge order covers one component only
         raise InputError("certificate_prefix_survives accepts connected graphs only")
     order, eu, ev, degree = _layout(g)
-    step = _make_step(eu, ev, degree, cert.t, properness_only=False)
-    masks = [0] * len(g.vertices)
-    used: set[int] = set()
-    for pos, edge_idx in enumerate(order):
-        color = cert.colors[edge_idx]
-        used.add(color)
-        bit = 1 << (color - 1)
-        if step(pos, bit, masks, len(used)) != _FITS:
-            return False
-        masks[eu[pos]] |= bit
-        masks[ev[pos]] |= bit
-    return True
+    allowed = [1 << (cert.colors[e] - 1) for e in order]
+    outcome, _ = _search(eu, ev, degree, cert.t, allowed, SolverConfig())
+    return outcome.status == COLORABLE
 
 
 # --- independent ground truth -------------------------------------------------

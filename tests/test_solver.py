@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycolor import solver
-from cycolor.coloring import Coloring, check_cyclically_interval
+from cycolor.coloring import (
+    KIND_BAD_PALETTE,
+    KIND_COLOR_UNUSED,
+    Coloring,
+    check_cyclically_interval,
+)
 from cycolor.errors import BudgetError, InputError, UsageError
 from cycolor.families import (
     gen_complete_bipartite,
@@ -30,6 +35,7 @@ from cycolor.solver import (
     SearchOutcome,
     SolverConfig,
     _arc_span_kernel,
+    _window_kernel,
     brute_force_decide,
     certificate_prefix_survives,
     chromatic_index,
@@ -184,6 +190,21 @@ def test_prunes_never_cut_a_valid_certificate_prefix():
         assert seen > 0
     # an improper coloring is cut at the edge that repeats a color
     assert not certificate_prefix_survives(gen_cycle(4), Coloring(2, (1, 1, 2, 2)))
+
+
+def test_the_prefix_replay_cuts_with_each_prune():
+    """The replay runs the search's own masks, so a complete coloring that
+    only prune (ii), or only prune (iii), would cut does not survive."""
+    # C4 colored 1,3,2,4 is proper and onto; v2's palette {1, 3} is no arc of 2
+    c4, arc_cut = gen_cycle(4), Coloring(4, (1, 3, 2, 4))
+    kinds = {f.kind for f in check_cyclically_interval(c4, arc_cut).failures}
+    assert kinds == {KIND_BAD_PALETTE}
+    assert not certificate_prefix_survives(c4, arc_cut)
+    # a 3-edge path colored 1,2,1 has arc palettes but leaves color 3 unused
+    p3, onto_cut = gen_path(3), Coloring(3, (1, 2, 1))
+    kinds = {f.kind for f in check_cyclically_interval(p3, onto_cut).failures}
+    assert kinds == {KIND_COLOR_UNUSED}
+    assert not certificate_prefix_survives(p3, onto_cut)
 
 
 def _all_valid_colorings(g, t):
@@ -470,6 +491,28 @@ def test_node_counts_are_pinned():
             assert (out.status, out.nodes) == (status, nodes), t
     out = decide(gen_gm(3), 14, SolverConfig(node_budget=10_000))
     assert (out.status, out.nodes) == (BUDGET_EXCEEDED, 10_001)
+    unbroken = SolverConfig(symmetry_breaking=False)
+    for t, (status, nodes) in {4: (COLORABLE, 8), 5: (COLORABLE, 18), 6: (COLORABLE, 38),
+                               7: (NOT_COLORABLE, 5131), 8: (NOT_COLORABLE, 3152)}.items():
+        out = decide(gen_gm(2), t, unbroken)
+        assert (out.status, out.nodes) == (status, nodes), t
+    for n, nodes in ((5, 4), (7, 6), (9, 8)):
+        out = decide(gen_cycle(n), 2, SolverConfig(properness_only=True))
+        assert (out.status, out.nodes) == (NOT_COLORABLE, nodes), n
+    out = decide(gen_path(1200), 1200, SolverConfig(node_budget=200_000))
+    assert (out.status, out.nodes) == (BUDGET_EXCEEDED, 200_001)
+
+
+def test_bulk_node_counts_stop_at_the_budget_boundary():
+    """A position's nodes are counted at once; the node budget still stops
+    the search at exactly budget + 1, and a budget the search stays within
+    changes nothing. gm(2) at t=7 is not colorable in 733 nodes."""
+    for budget in (1, 2, 3, 732):
+        out = decide(gen_gm(2), 7, SolverConfig(node_budget=budget))
+        assert (out.status, out.nodes) == (BUDGET_EXCEEDED, budget + 1), budget
+    for budget in (733, 1024, 1025):
+        out = decide(gen_gm(2), 7, SolverConfig(node_budget=budget))
+        assert (out.status, out.nodes) == (NOT_COLORABLE, 733), budget
 
 
 def test_gm4_low_end_is_colorable_within_a_small_budget():
@@ -500,6 +543,19 @@ def test_arc_span_kernel_matches_the_interval_algebra():
             got = span(mask)
             for k in range(1, t + 1):
                 assert (got <= k) == (want <= k), (t, members, k)
+
+
+def test_window_kernel_matches_the_span_definition():
+    """window(M, d) is {c : cyclic_span(M | {c}) <= d}, for every nonempty
+    palette M with t <= 10 and every d in 1..t+1, the span computed directly."""
+    for t in range(1, 11):
+        window = _window_kernel(t)
+        for mask in range(1, 1 << t):
+            members = [c for c in range(1, t + 1) if mask >> (c - 1) & 1]
+            spans = [cyclic_span(ColorSet.of(t, members + [c])) for c in range(1, t + 1)]
+            for d in range(1, t + 2):
+                want = sum(1 << (c - 1) for c in range(1, t + 1) if spans[c - 1] <= d)
+                assert window(mask, d) == want, (t, members, d)
 
 
 def test_deep_graphs_do_not_exhaust_the_call_stack():
