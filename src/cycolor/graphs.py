@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import InputError, UsageError
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -31,16 +31,6 @@ class Graph:
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     adjacency: dict[str, tuple[tuple[str, int], ...]]
-
-    def degree(self, v: str) -> int:
-        if v not in self.adjacency:
-            raise UsageError(f"no vertex {v!r}")
-        return len(self.adjacency[v])
-
-    def incident_edges(self, v: str) -> tuple[int, ...]:
-        if v not in self.adjacency:
-            raise UsageError(f"no vertex {v!r}")
-        return tuple(idx for _, idx in self.adjacency[v])
 
     @functools.cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:

@@ -59,9 +59,6 @@ class ColorSet:
     def sorted_members(self) -> list[int]:
         return sorted(self.members)
 
-    def complement(self) -> "ColorSet":
-        return ColorSet(self.t, frozenset(range(1, self.t + 1)) - self.members)
-
 
 @dataclass(frozen=True)
 class CyclicIntervalSpec:

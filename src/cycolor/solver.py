@@ -36,6 +36,10 @@ rotated so that its lowest color is color 1, and on the degree
 (`_arc_span_kernel`), whose misses are computed by `cyclic_span`, the one
 definition of an arc.
 
+The chromatic index asks the same search one question: at t = Δ, with
+every degree raised to Δ, a valid coloring is a proper Δ-coloring
+(`_proper_search`).
+
 Certificates are re-verified with the checker before being returned, and
 "not colorable" is only ever reported after an exhaustive search; running
 out of budget is its own outcome.
@@ -65,7 +69,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coloring import Coloring, check_cyclically_interval
+from .coloring import Coloring, _require_match, check_cyclically_interval, check_proper
 from .errors import BudgetError, InputError, InternalError, UsageError
 from .graphs import Bipartition, Graph, bipartition, is_connected, max_degree
 from .intervals import ColorSet, arc_masks, cyclic_span
@@ -74,7 +78,9 @@ COLORABLE = "colorable"
 NOT_COLORABLE = "not-colorable"
 BUDGET_EXCEEDED = "budget-exceeded"
 
-DEFAULT_ENUMERATION_CAP = 10**9
+ENUMERATION_CAP = 10**9
+# chromatic_index searches non-bipartite graphs of at most this many edges.
+_CHROMATIC_INDEX_EDGE_LIMIT = 64
 # Above this many assignments the brute-force path goes vectorized.
 _LITERAL_SWEEP_LIMIT = 200_000
 # The vectorized path tabulates arc shapes over all 2^t palette bitmasks.
@@ -88,7 +94,6 @@ class SolverConfig:
     symmetry_breaking: bool = True
     node_budget: Optional[int] = None
     time_budget: Optional[float] = None
-    properness_only: bool = False
 
     def __post_init__(self) -> None:
         if self.node_budget is not None and self.node_budget < 1:
@@ -233,32 +238,31 @@ def _search(
     prunes judged a whole position at a time on bitmasks (bit c-1 = color c).
 
     allowed[p] holds the colors the search may place at position p: `decide`
-    narrows position 0 to color 1 under symmetry breaking, and the prefix
-    replay allows each position only its certificate's color. Of cfg, only
-    properness_only and the budgets are read. Returns the outcome, without
-    a coloring, and the color bit placed at each position, which is a
-    complete assignment when the outcome is COLORABLE.
+    (under symmetry breaking) and `_proper_search` narrow position 0 to
+    color 1, and the prefix replay allows each position only its
+    certificate's color. Of cfg, only the budgets are read. Returns the
+    outcome, without a coloring, and the color bit placed at each position,
+    which is a complete assignment when the outcome is COLORABLE.
     """
     n_edges = len(eu)
     full = (1 << t) - 1
     window = _window_kernel(t)
     masks = [0] * len(degree)
     # A vertex's window is the set of colors that keep its palette within
-    # an arc of deg colors, prune (ii). It stays full under properness_only
-    # or when deg >= t, and nothing reads it after the vertex's last edge,
-    # so grow_u[p] says whether placing at p narrows eu[p]'s window.
+    # an arc of deg colors, prune (ii). It stays full when deg >= t, and
+    # nothing reads it after the vertex's last edge, so grow_u[p] says
+    # whether placing at p narrows eu[p]'s window.
     wins = [full] * len(degree)
     last = {}
     for p in range(n_edges):
         last[eu[p]] = last[ev[p]] = p
-    arcs = not cfg.properness_only
-    grow_u = [arcs and degree[u] < t and last[u] > p for p, u in enumerate(eu)]
-    grow_v = [arcs and degree[v] < t and last[v] > p for p, v in enumerate(ev)]
+    grow_u = [degree[u] < t and last[u] > p for p, u in enumerate(eu)]
+    grow_v = [degree[v] < t and last[v] > p for p, v in enumerate(ev)]
     saved_u = [0] * n_edges  # the window each placement replaced
     saved_v = [0] * n_edges
     # Prune (iii): with k colors used before p, a new color leaves t-k-1 and
     # a used one t-k unused colors for the n_edges-p-1 edges after p.
-    lack = [t - n_edges + p + 1 if arcs else 0 for p in range(n_edges)]
+    lack = [t - n_edges + p + 1 for p in range(n_edges)]
     used_before = [0] * (n_edges + 1)  # the colors placed before each position
     placed = [0] * n_edges  # the color bit at each position
 
@@ -332,13 +336,25 @@ def _search(
     return SearchOutcome(COLORABLE, nodes=nodes), placed
 
 
-def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcome:
-    """Exact decision by backtracking; see module docstring for the prunes.
+def _certified(
+    g: Graph, order: list[int], t: int, outcome: SearchOutcome, placed: list[int], check: Callable
+) -> SearchOutcome:
+    """A search's outcome with its coloring: the colors `_search` placed
+    along `order`, re-verified by the checker `check` (`check_proper` or
+    `check_cyclically_interval`). Any other outcome is returned as it is."""
+    if outcome.status != COLORABLE:
+        return outcome
+    colors = [0] * len(order)
+    for p, e in enumerate(order):
+        colors[e] = placed[p].bit_length()
+    cert = Coloring(t=t, colors=tuple(colors))
+    if not check(g, cert).ok:
+        raise InternalError("certificate failed re-verification")
+    return SearchOutcome(COLORABLE, coloring=cert, nodes=outcome.nodes)
 
-    With cfg.properness_only the surjectivity and palette conditions are
-    dropped and the search answers "is there a proper coloring with colors
-    drawn from [1, t]?" — the subroutine behind the chromatic index.
-    """
+
+def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcome:
+    """Exact decision by backtracking; see module docstring for the prunes."""
     cfg = cfg or SolverConfig()
     _validate_t(t)
     if not is_connected(g):
@@ -349,7 +365,7 @@ def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcom
         return SearchOutcome(
             NOT_COLORABLE, reason=f"t={t} below max degree {delta}: properness impossible"
         )
-    if not cfg.properness_only and t > n_edges:
+    if t > n_edges:
         return SearchOutcome(
             NOT_COLORABLE,
             reason=f"t={t} exceeds edge count {n_edges}: some color must go unused",
@@ -359,28 +375,10 @@ def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcom
     allowed = [(1 << t) - 1] * n_edges
     # Symmetry breaking: color rotation maps any valid coloring to one whose
     # first edge has color 1.
-    if cfg.symmetry_breaking and n_edges:
+    if cfg.symmetry_breaking:
         allowed[0] = 1
     outcome, placed = _search(eu, ev, degree, t, allowed, cfg)
-    if outcome.status != COLORABLE:
-        return outcome
-
-    # Every edge is placed. Without properness_only, prune (iii) at the last
-    # position has already made sure that every color is used.
-    assignment = [0] * n_edges
-    for p, e in enumerate(order):
-        assignment[e] = placed[p].bit_length()
-    cert = Coloring(t=t, colors=tuple(assignment))
-    if cfg.properness_only:
-        for v in g.vertices:
-            seen = [cert.colors[i] for _, i in g.adjacency[v]]
-            if len(seen) != len(set(seen)):
-                raise InternalError("proper certificate failed re-verification")
-    else:
-        verdict = check_cyclically_interval(g, cert)
-        if not verdict.ok:
-            raise InternalError("certificate failed re-verification")
-    return SearchOutcome(COLORABLE, coloring=cert, nodes=outcome.nodes)
+    return _certified(g, order, t, outcome, placed, check_cyclically_interval)
 
 
 def certificate_prefix_survives(g: Graph, cert: Coloring) -> bool:
@@ -396,6 +394,7 @@ def certificate_prefix_survives(g: Graph, cert: Coloring) -> bool:
     """
     if not is_connected(g):  # the edge order covers one component only
         raise InputError("certificate_prefix_survives accepts connected graphs only")
+    _require_match(g, cert)
     order, eu, ev, degree = _layout(g)
     allowed = [1 << (cert.colors[e] - 1) for e in order]
     outcome, _ = _search(eu, ev, degree, cert.t, allowed, SolverConfig())
@@ -505,55 +504,69 @@ def _literal_sweep(g: Graph, t: int, count_all: bool) -> tuple[int, Optional[Col
     return count, first
 
 
-def _sweep(
-    g: Graph, t: int, cap: int, method: str, count_all: bool
-) -> tuple[int, Optional[Coloring]]:
+def _sweep(g: Graph, t: int, method: str, count_all: bool) -> tuple[int, Optional[Coloring]]:
     _validate_t(t)
     if not is_connected(g):
         raise InputError("brute force accepts connected graphs only")
     if method not in ("auto", "literal", "vector"):
         raise UsageError(f"unknown method {method!r}")
     space = t ** len(g.edges)
-    if space > cap:
-        raise BudgetError(f"{t}^{len(g.edges)} = {space} assignments exceed the cap {cap}")
+    if space > ENUMERATION_CAP:
+        raise BudgetError(
+            f"{t}^{len(g.edges)} = {space} assignments exceed the cap {ENUMERATION_CAP}"
+        )
     if method == "literal" or (method == "auto" and space <= _LITERAL_SWEEP_LIMIT):
         return _literal_sweep(g, t, count_all)
     return _vector_sweep(g, t, count_all)
 
 
-def brute_force_decide(
-    g: Graph, t: int, cap: int = DEFAULT_ENUMERATION_CAP, method: str = "auto"
-) -> SearchOutcome:
+def brute_force_decide(g: Graph, t: int, method: str = "auto") -> SearchOutcome:
     """Ground-truth decision by exhaustive enumeration + checker filter.
 
     Shares no reasoning with `decide`: every single assignment is generated
     and judged by check_cyclically_interval. The certificate, when one
     exists, is the lexicographically first valid assignment.
     """
-    count, first = _sweep(g, t, cap, method, count_all=False)
+    count, first = _sweep(g, t, method, count_all=False)
     if count:
         return SearchOutcome(COLORABLE, coloring=first, reason="enumeration")
     return SearchOutcome(NOT_COLORABLE, reason="exhaustive enumeration")
 
 
-def count_colorings(
-    g: Graph, t: int, cap: int = DEFAULT_ENUMERATION_CAP, method: str = "auto"
-) -> int:
+def count_colorings(g: Graph, t: int, method: str = "auto") -> int:
     """Number of valid colorings among all t^|E| assignments."""
-    count, _ = _sweep(g, t, cap, method, count_all=True)
+    count, _ = _sweep(g, t, method, count_all=True)
     return count
 
 
 # --- spectra ------------------------------------------------------------------
 
-def chromatic_index(g: Graph, search_edge_limit: int = 64) -> int:
+def _proper_search(g: Graph) -> SearchOutcome:
+    """Search a connected graph with an edge for a proper coloring in Δ colors.
+
+    This is `_search` at t = Δ with every degree raised to Δ. An arc of Δ
+    colors is then the whole cycle, so every palette fits one: no window
+    narrows and prune (ii) never cuts. The Δ edges at a max-degree vertex
+    use every color, and they lead the order, so prune (iii) never cuts
+    either. Properness is all that is left. The certificate is re-verified
+    by `check_proper`.
+    """
+    delta = max_degree(g)
+    order, eu, ev, degree = _layout(g)
+    allowed = [(1 << delta) - 1] * len(order)
+    allowed[0] = 1  # color rotation: the first edge may as well take color 1
+    outcome, placed = _search(eu, ev, [delta] * len(degree), delta, allowed, SolverConfig())
+    return _certified(g, order, delta, outcome, placed, check_proper)
+
+
+def chromatic_index(g: Graph) -> int:
     """Exact minimum number of colors in a proper edge coloring.
 
     Bipartite graphs need exactly max-degree colors; everything else needs
-    max-degree or one more, decided by an exact properness-only search.
-    Connected graphs with at least one edge only. The search path refuses
-    non-bipartite graphs with more than `search_edge_limit` edges; raise
-    the limit explicitly to accept the wait.
+    max-degree or one more (Vizing), decided by an exact search for a
+    proper coloring in max-degree colors (`_proper_search`). Connected
+    graphs with at least one edge only. The search path refuses
+    non-bipartite graphs with more than 64 edges.
     """
     if not g.edges:
         raise InputError("chromatic index needs at least one edge")
@@ -562,13 +575,12 @@ def chromatic_index(g: Graph, search_edge_limit: int = 64) -> int:
     delta = max_degree(g)
     if isinstance(bipartition(g), Bipartition):
         return delta
-    if len(g.edges) > search_edge_limit:
+    if len(g.edges) > _CHROMATIC_INDEX_EDGE_LIMIT:
         raise BudgetError(
-            f"exact chromatic index search limited to {search_edge_limit} edges; "
+            f"exact chromatic index search limited to {_CHROMATIC_INDEX_EDGE_LIMIT} edges; "
             f"graph has {len(g.edges)}"
         )
-    outcome = decide(g, delta, SolverConfig(properness_only=True))
-    return delta if outcome.status == COLORABLE else delta + 1
+    return delta if _proper_search(g).status == COLORABLE else delta + 1
 
 
 def _decide_task(args: tuple[Graph, int, SolverConfig]) -> tuple[int, SearchOutcome]:

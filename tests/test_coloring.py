@@ -58,7 +58,7 @@ def test_proper_sizes_palettes_correctly():
     c = Coloring(2, (1, 2, 1, 2, 1, 2))
     assert check_proper(g, c).ok
     for v in g.vertices:
-        assert len(palette(g, c, v)) == g.degree(v)
+        assert len(palette(g, c, v)) == len(g.adjacency[v])
 
 
 def test_check_proper_accepts_and_rejects():
@@ -162,7 +162,7 @@ def _by_definition(g, c):
     counting, per vertex in vertex order; unused colors ascending; then
     palettes that are no cyclic arc, per vertex in vertex order."""
     found = []
-    palettes = {v: [c.colors[e] for e in g.incident_edges(v)] for v in g.vertices}
+    palettes = {v: [c.colors[e] for _, e in g.adjacency[v]] for v in g.vertices}
     for v, seen in palettes.items():
         found += [("not-proper", v) for x in sorted(set(seen)) if seen.count(x) > 1]
     found += [("color-unused", str(x)) for x in range(1, c.t + 1) if x not in c.colors]

@@ -9,8 +9,8 @@ import re
 import pytest
 
 from cycolor.cnf import export_cnf
-from cycolor.coloring import Coloring
-from cycolor.errors import BudgetError, InputError, UsageError
+from cycolor.coloring import Coloring, check_proper
+from cycolor.errors import BudgetError, InputError
 from cycolor.families import gen_complete_bipartite, gen_cycle, gen_gm, gen_path, gen_star
 from cycolor.graphs import (
     Bipartition,
@@ -36,8 +36,6 @@ def test_build_preserves_order_and_indexes_adjacency():
     assert g.vertices == ("x", "y", "z")
     assert g.edges == (("x", "y"), ("y", "z"))
     assert g.adjacency["y"] == (("x", 0), ("z", 1))
-    assert g.degree("y") == 2
-    assert g.incident_edges("x") == (0,)
 
 
 def test_build_rejects_bad_input():
@@ -49,8 +47,6 @@ def test_build_rejects_bad_input():
         build_graph(["a", "a"], [])
     with pytest.raises(InputError, match="'c' is not a vertex"):
         build_graph(["a", "b"], [("a", "c")])
-    with pytest.raises(UsageError, match="no vertex 'zz'"):
-        build_graph(["a"], []).degree("zz")
 
 
 def test_connectivity():
@@ -141,13 +137,44 @@ def test_chromatic_index_is_delta_or_delta_plus_one():
         assert chromatic_index(g) in (delta, delta + 1)
 
 
+def _graph(edges):
+    vertices = sorted({v for e in edges for v in e})
+    return build_graph(vertices, edges)
+
+
+def test_chromatic_index_matches_a_brute_force_over_all_delta_colorings():
+    """On non-bipartite graphs the search path answers; the reference tries
+    all Δ^|E| assignments (at most 4^6) through the checker, and Vizing
+    puts χ′ at Δ + 1 when none is proper."""
+    triangle = [("a", "b"), ("b", "c"), ("a", "c")]
+    class_one = [
+        _k4(),
+        _graph(triangle + [("b", "d"), ("c", "d")]),  # the diamond
+        _graph(triangle + [("c", "d"), ("d", "e"), ("c", "e")]),  # the bowtie
+        _graph(triangle + [("c", "d")]),  # a triangle with a pendant edge
+    ]
+    # K4 with the edge ab subdivided by e: 7 edges but only 2 disjoint ones
+    subdivided = _graph([("a", "e"), ("e", "b"), *_k4().edges[1:]])
+    class_two = [gen_cycle(3), gen_cycle(5), gen_cycle(7), subdivided]
+    for want_extra, graphs in ((0, class_one), (1, class_two)):
+        for g in graphs:
+            assert isinstance(bipartition(g), NotBipartite)
+            delta = max_degree(g)
+            assert delta ** len(g.edges) <= 4**6
+            proper = any(
+                check_proper(g, Coloring(delta, colors)).ok
+                for colors in itertools.product(range(1, delta + 1), repeat=len(g.edges))
+            )
+            assert chromatic_index(g) == (delta if proper else delta + 1) == delta + want_extra
+
+
 def test_chromatic_index_preconditions():
     with pytest.raises(InputError, match='needs at least one edge'):
         chromatic_index(build_graph(["a"], []))
     with pytest.raises(InputError, match='chromatic index requires a connected graph'):
         chromatic_index(build_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]))
-    with pytest.raises(BudgetError, match='limited to 5 edges'):
-        chromatic_index(gen_cycle(9), search_edge_limit=5)
+    with pytest.raises(BudgetError, match='limited to 64 edges; graph has 65'):
+        chromatic_index(gen_cycle(65))
 
 
 def test_json_round_trip_preserves_edge_order():

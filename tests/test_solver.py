@@ -64,6 +64,11 @@ def test_decide_validates_inputs():
         decide(two_parts, 2)
     with pytest.raises(InputError, match='prefix_survives accepts connected graphs only'):
         certificate_prefix_survives(two_parts, Coloring(2, (1, 2)))
+    # the replay reads one color per edge: too few or too many is refused
+    with pytest.raises(InputError, match='coloring has 1 entries but graph has 2 edges'):
+        certificate_prefix_survives(g, Coloring(2, (1,)))
+    with pytest.raises(InputError, match='coloring has 3 entries but graph has 2 edges'):
+        certificate_prefix_survives(g, Coloring(2, (1, 2, 1)))
     with pytest.raises(InputError, match='brute force accepts connected graphs only'):
         count_colorings(two_parts, 2)
     with pytest.raises(UsageError, match="unknown method 'nope'"):
@@ -80,10 +85,11 @@ def test_the_search_options_are_pinned():
         "symmetry_breaking",
         "node_budget",
         "time_budget",
-        "properness_only",
     ]
-    assert list(inspect.signature(chromatic_index).parameters) == ["g", "search_edge_limit"]
+    assert list(inspect.signature(chromatic_index).parameters) == ["g"]
     assert list(inspect.signature(certificate_prefix_survives).parameters) == ["g", "cert"]
+    for oracle in (brute_force_decide, count_colorings):
+        assert list(inspect.signature(oracle).parameters) == ["g", "t", "method"]
 
 
 def test_decide_immediate_window_cuts():
@@ -372,9 +378,9 @@ def test_edge_order_is_connected_depth_first_from_a_max_degree_root(case):
     order = solver._edge_positions(g)
     assert sorted(order) == list(range(len(g.edges)))
     assert solver._edge_positions(g) == order
-    delta = max(g.degree(v) for v in g.vertices)
-    root = next(v for v in g.vertices if g.degree(v) == delta)
-    assert set(order[:delta]) == set(g.incident_edges(root))
+    delta = max(len(g.adjacency[v]) for v in g.vertices)
+    root = next(i for i, v in enumerate(g.vertices) if len(g.adjacency[v]) == delta)
+    assert set(order[:delta]) == set(g.incidence[root])
     touched = set(g.edges[order[0]])
     for e in order[1:]:
         assert touched & set(g.edges[e]), (g.edges, order, e)
@@ -388,8 +394,9 @@ def test_oracle_count_frozen_values():
 
 
 def test_oracle_cap():
-    with pytest.raises(BudgetError, match='exceed the cap 1000'):
-        brute_force_decide(gen_gm(2), 8, cap=1000)
+    # gm(2) has 8 edges: 14^8 = 1,475,789,056 assignments are past the 10^9 cap
+    with pytest.raises(BudgetError, match=r"14\^8 = 1475789056 .* cap 1000000000$"):
+        brute_force_decide(gen_gm(2), 14)
     with pytest.raises(BudgetError, match='t=21 exceeds 20'):
         count_colorings(gen_path(6), 21)
 
@@ -496,8 +503,9 @@ def test_node_counts_are_pinned():
                                7: (NOT_COLORABLE, 5131), 8: (NOT_COLORABLE, 3152)}.items():
         out = decide(gen_gm(2), t, unbroken)
         assert (out.status, out.nodes) == (status, nodes), t
+    # the chromatic-index search: an odd cycle has no proper 2-coloring
     for n, nodes in ((5, 4), (7, 6), (9, 8)):
-        out = decide(gen_cycle(n), 2, SolverConfig(properness_only=True))
+        out = solver._proper_search(gen_cycle(n))
         assert (out.status, out.nodes) == (NOT_COLORABLE, nodes), n
     out = decide(gen_path(1200), 1200, SolverConfig(node_budget=200_000))
     assert (out.status, out.nodes) == (BUDGET_EXCEEDED, 200_001)
@@ -525,12 +533,14 @@ def test_gm4_low_end_is_colorable_within_a_small_budget():
         assert check_cyclically_interval(g, out.coloring).ok, t
 
 
-def test_edgeless_graphs_are_trivially_colorable():
-    cfg = SolverConfig(properness_only=True)
+def test_edgeless_graphs_have_nothing_to_search():
+    """An edgeless graph has an empty edge order, so the replay has no
+    prefix to cut, and no color can be used, so every t is refused."""
     for g in (build_graph([], []), build_graph(["a"], [])):
         assert solver._edge_positions(g) == []
-        out = decide(g, 1, cfg)
-        assert (out.status, out.coloring) == (COLORABLE, Coloring(1, ()))
+        assert certificate_prefix_survives(g, Coloring(1, ()))
+        out = decide(g, 1)
+        assert out.status == NOT_COLORABLE and "edge count" in out.reason
 
 
 def test_arc_span_kernel_matches_the_interval_algebra():
