@@ -17,6 +17,12 @@ that cover each color, come from `intervals.arc_masks`.
 For deg(v) >= t every arc of length deg(v) is the whole palette, making
 the a(v, s) interchangeable; a unit clause pins s = 1 there so satisfying
 assignments correspond one-to-one with valid colorings.
+
+The clause count grows as t^2 per edge and vertex, so `encode` computes it
+first (`_clause_count`) and refuses more than CLAUSE_CAP clauses. Every
+clause holds the one int object of each of its literals, and `to_dimacs`
+formats each literal once and writes the clauses in joined chunks, so an
+encoding costs memory per clause, not per literal occurrence.
 """
 
 from __future__ import annotations
@@ -25,9 +31,15 @@ import json
 from dataclasses import dataclass, replace
 
 from .coloring import Coloring, check_cyclically_interval
-from .errors import InputError, UsageError
+from .errors import BudgetError, InputError, UsageError
 from .graphs import Graph, is_connected
 from .intervals import arc_masks
+
+# encode refuses a formula of more clauses than this: about ten times the
+# 208,311 of gm(4) at t=64.
+CLAUSE_CAP = 2 * 10**6
+# to_dimacs joins the text of this many clauses into one string at a time.
+_DIMACS_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -54,15 +66,24 @@ class CnfEncoding:
         for e, (u, v) in enumerate(self.g.edges):
             for c in range(1, self.t + 1):
                 lines.append(
-                    f"c var {self.edge_var(e, c)} : edge {e} ({name[u]}--{name[v]}) color {c}"
+                    f"c var {self.edge_var(e, c)} : edge {e} ({name[u]}--{name[v]}) color {c}\n"
                 )
         for v_idx, v in enumerate(self.g.vertices):
             for s in range(1, self.t + 1):
-                lines.append(f"c var {self.arc_var(v_idx, s)} : vertex {name[v]} arc-start {s}")
-        lines.append(f"p cnf {self.num_vars} {len(self.clauses)}")
-        for clause in self.clauses:
-            lines.append(" ".join(map(str, (*clause, 0))))
-        return "\n".join(lines) + "\n"
+                lines.append(f"c var {self.arc_var(v_idx, s)} : vertex {name[v]} arc-start {s}\n")
+        lines.append(f"p cnf {self.num_vars} {len(self.clauses)}\n")
+        # word[lit] is literal lit and the space after it, formatted once; a
+        # negative lit indexes from the end of the list
+        n = self.num_vars
+        word = [f"{lit} " for lit in range(n + 1)] + [f"{lit} " for lit in range(-n, 0)]
+        text = word.__getitem__
+        for at in range(0, len(self.clauses), _DIMACS_CHUNK):
+            chunk: list[str] = []
+            for clause in self.clauses[at : at + _DIMACS_CHUNK]:
+                chunk.extend(map(text, clause))
+                chunk.append("0\n")
+            lines.append("".join(chunk))
+        return "".join(lines)
 
     def decode_model(self, true_vars: set[int], verify: bool = True) -> Coloring:
         """Read a satisfying assignment back into a Coloring and re-check it."""
@@ -103,44 +124,68 @@ class CnfEncoding:
         return true_vars
 
 
+def _clause_count(g: Graph, t: int) -> int:
+    """The number of clauses `encode(g, t)` builds, in closed form: per edge
+    and per vertex one at-least-one and C(t, 2) at-most-one clauses; per
+    vertex and color one clause per pair of incident edges; per vertex,
+    edge end and color one link; one unit clause per vertex of degree >= t;
+    one surjectivity clause per color."""
+    degrees = [len(g.adjacency[v]) for v in g.vertices]
+    pairs = t * (t - 1) // 2
+    return (
+        (len(g.edges) + len(g.vertices)) * (1 + pairs)
+        + t * sum(d * (d - 1) // 2 for d in degrees)
+        + 2 * len(g.edges) * t
+        + sum(d >= t for d in degrees)
+        + t
+    )
+
+
 def encode(g: Graph, t: int) -> CnfEncoding:
     if not isinstance(t, int) or isinstance(t, bool) or t < 1:
         raise UsageError(f"t must be a positive integer, got {t!r}")
     if not is_connected(g):
         raise InputError("CNF export accepts connected graphs only")
+    n_clauses = _clause_count(g, t)
+    if n_clauses > CLAUSE_CAP:
+        raise BudgetError(f"t={t} needs {n_clauses} clauses, past the cap {CLAUSE_CAP}")
     n_edges = len(g.edges)
     layout = CnfEncoding(g=g, t=t, clauses=())
     x, a = layout.edge_var, layout.arc_var
+    # Each literal is one int object that every clause holding it shares:
+    # pos[var] is var and neg[var] is -var.
+    pos = list(range(layout.num_vars + 1))
+    neg = [-var for var in pos]
+    colors = range(1, t + 1)
     clauses: list[tuple[int, ...]] = []
     for e in range(n_edges):
-        clauses.append(tuple(x(e, c) for c in range(1, t + 1)))
-        for c1 in range(1, t + 1):
+        clauses.append(tuple(pos[x(e, c)] for c in colors))
+        for c1 in colors:
             for c2 in range(c1 + 1, t + 1):
-                clauses.append((-x(e, c1), -x(e, c2)))
+                clauses.append((neg[x(e, c1)], neg[x(e, c2)]))
     for v in g.vertices:
         inc = [i for _, i in g.adjacency[v]]
-        for c in range(1, t + 1):
+        for c in colors:
             for p in range(len(inc)):
                 for q in range(p + 1, len(inc)):
-                    clauses.append((-x(inc[p], c), -x(inc[q], c)))
+                    clauses.append((neg[x(inc[p], c)], neg[x(inc[q], c)]))
     for v_idx, v in enumerate(g.vertices):
         deg = len(g.adjacency[v])
-        clauses.append(tuple(a(v_idx, s) for s in range(1, t + 1)))
-        for s1 in range(1, t + 1):
+        clauses.append(tuple(pos[a(v_idx, s)] for s in colors))
+        for s1 in colors:
             for s2 in range(s1 + 1, t + 1):
-                clauses.append((-a(v_idx, s1), -a(v_idx, s2)))
+                clauses.append((neg[a(v_idx, s1)], neg[a(v_idx, s2)]))
         if deg >= t:
-            clauses.append((a(v_idx, 1),))
+            clauses.append((pos[a(v_idx, 1)],))
         arcs = arc_masks(deg, t)
         covers = [
-            [a(v_idx, s) for s in range(1, t + 1) if arcs[s - 1] >> (c - 1) & 1]
-            for c in range(1, t + 1)
+            tuple(pos[a(v_idx, s)] for s in colors if arcs[s - 1] >> (c - 1) & 1) for c in colors
         ]
         for _, e in g.adjacency[v]:
-            for c in range(1, t + 1):
-                clauses.append((-x(e, c), *covers[c - 1]))
-    for c in range(1, t + 1):
-        clauses.append(tuple(x(e, c) for e in range(n_edges)))
+            for c in colors:
+                clauses.append((neg[x(e, c)], *covers[c - 1]))
+    for c in colors:
+        clauses.append(tuple(pos[x(e, c)] for e in range(n_edges)))
     return replace(layout, clauses=tuple(clauses))
 
 

@@ -45,16 +45,18 @@ Certificates are re-verified with the checker before being returned, and
 out of budget is its own outcome.
 
 `brute_force_decide` is the deliberately independent ground truth: it
-enumerates every assignment in lexicographic order and filters with the
-checker. It shares no search logic with `decide`. Above ~200k assignments
-it switches to a blocked numpy sweep: every assignment of the last k edges
-(t^k <= _CHUNK) is laid out once, with each vertex's palette over those
-edges as a bitmask; the assignments of the first edges are walked in lex
-order, and under each one a vertex palette is judged by one lookup in a
-per-degree table over all 2^t bitmasks in which only the t arcs of deg
-colors (`intervals.arc_masks`) are set; it is empty when deg > t. The
-tests cross-validate the two sweeps on overlapping sizes, with blocks as
-small as a few assignments.
+enumerates every assignment in lexicographic order and shares no search
+logic with `decide`. Its default, vector, route is a blocked numpy sweep:
+every assignment of the last k edges (t^k <= _CHUNK) is laid out once, with
+each vertex's palette over those edges as a bitmask; the assignments of the
+first edges are walked in lex order, and under each one a vertex palette is
+judged by one lookup in a per-degree table over all 2^t bitmasks in which
+only the t arcs of deg colors (`intervals.arc_masks`) are set; it is empty
+when deg > t. Its arcs are those tables, not `cyclic_span`, so it shares
+none of `decide`'s prunes. The tables cap t at _MAX_VECTOR_T; past it a
+sweep is refused. The literal route judges each assignment with the
+checker; the tests use it as the reference for the vector sweep, with
+blocks as small as a few assignments.
 """
 
 from __future__ import annotations
@@ -81,8 +83,6 @@ BUDGET_EXCEEDED = "budget-exceeded"
 ENUMERATION_CAP = 10**9
 # chromatic_index searches non-bipartite graphs of at most this many edges.
 _CHROMATIC_INDEX_EDGE_LIMIT = 64
-# Above this many assignments the brute-force path goes vectorized.
-_LITERAL_SWEEP_LIMIT = 200_000
 # The vectorized path tabulates arc shapes over all 2^t palette bitmasks.
 _MAX_VECTOR_T = 20
 # The vectorized path judges blocks of at most this many assignments at once.
@@ -508,23 +508,26 @@ def _sweep(g: Graph, t: int, method: str, count_all: bool) -> tuple[int, Optiona
     _validate_t(t)
     if not is_connected(g):
         raise InputError("brute force accepts connected graphs only")
-    if method not in ("auto", "literal", "vector"):
+    if method not in ("literal", "vector"):
         raise UsageError(f"unknown method {method!r}")
     space = t ** len(g.edges)
     if space > ENUMERATION_CAP:
         raise BudgetError(
             f"{t}^{len(g.edges)} = {space} assignments exceed the cap {ENUMERATION_CAP}"
         )
-    if method == "literal" or (method == "auto" and space <= _LITERAL_SWEEP_LIMIT):
+    if method == "literal":
         return _literal_sweep(g, t, count_all)
     return _vector_sweep(g, t, count_all)
 
 
-def brute_force_decide(g: Graph, t: int, method: str = "auto") -> SearchOutcome:
-    """Ground-truth decision by exhaustive enumeration + checker filter.
+def brute_force_decide(g: Graph, t: int, method: str = "vector") -> SearchOutcome:
+    """Ground-truth decision by exhaustive enumeration of all t^|E| assignments.
 
-    Shares no reasoning with `decide`: every single assignment is generated
-    and judged by check_cyclically_interval. The certificate, when one
+    Shares no reasoning with `decide`. The vector route judges every vertex
+    palette of every assignment by a lookup in a table whose only true
+    entries are the `arc_masks` of its degree, not by `cyclic_span`; it
+    refuses t > 20 with a BudgetError. The literal route judges each
+    assignment with check_cyclically_interval. The certificate, when one
     exists, is the lexicographically first valid assignment.
     """
     count, first = _sweep(g, t, method, count_all=False)
@@ -533,7 +536,7 @@ def brute_force_decide(g: Graph, t: int, method: str = "auto") -> SearchOutcome:
     return SearchOutcome(NOT_COLORABLE, reason="exhaustive enumeration")
 
 
-def count_colorings(g: Graph, t: int, method: str = "auto") -> int:
+def count_colorings(g: Graph, t: int, method: str = "vector") -> int:
     """Number of valid colorings among all t^|E| assignments."""
     count, _ = _sweep(g, t, method, count_all=True)
     return count

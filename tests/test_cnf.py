@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 
-from cycolor.cnf import encode, export_cnf
+from cycolor import graphs
+from cycolor.cli import EXIT_BUDGET, main
+from cycolor.cnf import CLAUSE_CAP, _clause_count, encode, export_cnf
 from cycolor.coloring import Coloring
-from cycolor.errors import InputError, UsageError
-from cycolor.families import gen_cycle, gen_gm, gen_path, gen_star
+from cycolor.errors import BudgetError, InputError, UsageError
+from cycolor.families import gen_cycle, gen_gm, gen_path, gen_random_tree, gen_star
 from cycolor.graphs import build_graph
 from cycolor.solver import COLORABLE, count_colorings, decide
 
@@ -120,3 +123,74 @@ def test_comment_block_names_every_variable():
     text = enc.to_dimacs()
     for var in range(1, enc.num_vars + 1):
         assert f"c var {var} :" in text
+
+
+def test_clause_count_closed_form_matches_the_encoding():
+    cases = [(gen_gm(2), t) for t in range(1, 10)]
+    cases += [(gen_star(4), t) for t in range(1, 6)]  # deg >= t pins a start
+    cases += [(gen_random_tree(20, 1), t) for t in (2, 4, 7)]
+    cases += [(gen_random_tree(24, 4), t) for t in (3, 11)]
+    for g, t in cases:
+        assert _clause_count(g, t) == len(encode(g, t).clauses), (g.edges, t)
+    frozen = {
+        (3, 13): 5_279,
+        (3, 27): 18_481,
+        (4, 16): 18_736,
+        (4, 64): 208_311,
+    }
+    for (m, t), count in frozen.items():
+        g = gen_gm(m)
+        assert _clause_count(g, t) == count
+        assert len(encode(g, t).clauses) == count
+
+
+def test_encode_refuses_past_the_clause_cap():
+    g = gen_path(3)
+    # 7 * (1 + C(99999, 2)) + 99999 * (1 + 6 + 2): 34,999,850,005 clauses
+    with pytest.raises(BudgetError, match=r"t=99999 needs 34999850005 clauses, past the cap"):
+        encode(g, 99_999)
+    t = next(t for t in itertools.count(1) if _clause_count(g, t) > CLAUSE_CAP)
+    with pytest.raises(BudgetError, match="past the cap"):
+        encode(g, t)
+
+
+def test_export_cnf_past_the_clause_cap_exits_4(tmp_path, capsys):
+    gp = tmp_path / "path3.json"
+    gp.write_text(graphs.to_json(gen_path(3)), encoding="utf-8")
+    assert main(["export-cnf", "--graph", str(gp), "--t", "99999"]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_dimacs_clause_lines_match_the_clauses():
+    names = ["a\np cnf 1 1", 'b"c', "d\\e", "f\rg"]
+    cases = [
+        (gen_gm(3), 13),
+        (gen_gm(4), 16),
+        (build_graph(["a"], []), 1),  # its surjectivity clause is empty: the line "0"
+        (build_graph(names, list(zip(names, names[1:]))), 2),
+    ]
+    for g, t in cases:
+        enc = encode(g, t)
+        lines = enc.to_dimacs().split("\n")
+        assert lines[-1] == ""
+        body = lines[-1 - len(enc.clauses) : -1]
+        assert lines[-2 - len(enc.clauses)] == f"p cnf {enc.num_vars} {len(enc.clauses)}"
+        assert body == [" ".join(map(str, (*clause, 0))) for clause in enc.clauses]
+
+
+def test_cnf_export_memory_peak():
+    # Each literal is one shared int and DIMACS is written in joined chunks:
+    # encoding gm(4) at t=64 (208,311 clauses) and writing it peaks near
+    # 22 MB; one int per literal occurrence and one string per line took 47 MB.
+    g = gen_gm(4)
+    tracemalloc.start()
+    try:
+        text = encode(g, 64).to_dimacs()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") > 208_311
+    assert peak < 32_000_000, peak

@@ -73,6 +73,8 @@ def test_decide_validates_inputs():
         count_colorings(two_parts, 2)
     with pytest.raises(UsageError, match="unknown method 'nope'"):
         count_colorings(g, 2, method="nope")
+    with pytest.raises(UsageError, match="unknown method 'auto'"):
+        brute_force_decide(g, 2, method="auto")
     with pytest.raises(UsageError, match='node_budget must be positive'):
         SolverConfig(node_budget=0)
     with pytest.raises(UsageError, match='time_budget must be positive, got nan'):
@@ -89,7 +91,9 @@ def test_the_search_options_are_pinned():
     assert list(inspect.signature(chromatic_index).parameters) == ["g"]
     assert list(inspect.signature(certificate_prefix_survives).parameters) == ["g", "cert"]
     for oracle in (brute_force_decide, count_colorings):
-        assert list(inspect.signature(oracle).parameters) == ["g", "t", "method"]
+        params = inspect.signature(oracle).parameters
+        assert list(params) == ["g", "t", "method"]
+        assert params["method"].default == "vector"
 
 
 def test_decide_immediate_window_cuts():
@@ -300,6 +304,20 @@ def test_oracle_methods_agree_and_share_first_certificate():
         assert count_colorings(build_graph(["a"], []), 2, method=method) == 0
 
 
+def test_oracle_methods_agree_on_the_small_graphs():
+    # The small graphs the benchmark sweeps at every t of their window; gm(2)
+    # at t=4 and the 5-cycle at t=3 are compared in the block test below.
+    diamond = build_graph(
+        ["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "c"), ("b", "d"), ("c", "d")]
+    )
+    small = [gen_cycle(5), diamond, gen_cycle(4), gen_path(3), gen_star(3), gen_random_tree(6, 0)]
+    for g in small:
+        for t in range(chromatic_index(g), len(g.edges) + 1):
+            assert count_colorings(g, t) == count_colorings(g, t, method="literal"), (g.edges, t)
+            vec, lit = brute_force_decide(g, t), brute_force_decide(g, t, method="literal")
+            assert (vec.status, vec.coloring) == (lit.status, lit.coloring), (g.edges, t)
+
+
 def _lex_index(c: Coloring) -> int:
     """Position of an assignment in the lex order of all t^|E| assignments."""
     index = 0
@@ -322,7 +340,8 @@ def test_vector_sweep_blocks_agree_with_the_literal_sweep(monkeypatch):
     for g, t in cases:
         count = count_colorings(g, t, method="literal")
         literal[g.edges, t] = (count, brute_force_decide(g, t, method="literal").coloring)
-    for chunk in (7, 64):
+    default = solver._CHUNK
+    for chunk in (7, 64, default):
         monkeypatch.setattr(solver, "_CHUNK", chunk)
         past_first_block = 0
         for g, t in cases:
@@ -333,7 +352,7 @@ def test_vector_sweep_blocks_agree_with_the_literal_sweep(monkeypatch):
             while block * t <= chunk:
                 block *= t
             past_first_block += first is not None and _lex_index(first) >= block
-        assert past_first_block
+        assert past_first_block or chunk == default  # one default block holds every case
 
 
 @st.composite
@@ -391,6 +410,7 @@ def test_oracle_count_frozen_values():
     assert count_colorings(gen_path(2), 2) == 2
     assert count_colorings(gen_cycle(4), 2) == 2
     assert count_colorings(gen_cycle(5), 3) == 30
+    assert count_colorings(gen_gm(2), 4) == 96
 
 
 def test_oracle_cap():
