@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import InternalError, UsageError
+from .errors import BudgetError, InternalError, UsageError
 from .intervals import CyclicIntervalSpec, intcyc_contains
 
 STEP_BOUNDS = "mid-color-bounds"
@@ -52,6 +52,9 @@ STEP_ORDER = (STEP_BOUNDS, STEP_GAP, STEP_MEMBER, STEP_UNION, STEP_ARC, STEP_CLA
 
 # audit_range re-sweeps every k0 as a self-check for m up to this.
 EXHAUSTIVE_LIMIT = 12
+# audit_range keeps two reports per m, about 6.7 KB together, so it refuses a
+# range of more m than this (about 67 MB).
+RANGE_CAP = 10_000
 
 ASSUMPTIONS = (
     "hub palette is an arc of length m^2, rotated to [1, m^2] "
@@ -279,10 +282,14 @@ def audit_range(m_lo: int, m_hi: int) -> RangeSummary:
     lower bound is k0-free, so the endpoints determine the whole k0 range;
     for m <= EXHAUSTIVE_LIMIT that argument is cross-checked by sweeping
     every k0 and insisting the passing set is exactly what the endpoints
-    predict.
+    predict. A range of more than RANGE_CAP values of m is a BudgetError.
     """
     if not isinstance(m_lo, int) or not isinstance(m_hi, int) or not 2 <= m_lo <= m_hi:
         raise UsageError(f"need 2 <= m_lo <= m_hi, got ({m_lo!r}, {m_hi!r})")
+    if m_hi - m_lo + 1 > RANGE_CAP:
+        raise BudgetError(
+            f"m range [{m_lo}, {m_hi}] holds {m_hi - m_lo + 1} values, past the cap {RANGE_CAP}"
+        )
     entries: list[RangeEntry] = []
     for m in range(m_lo, m_hi + 1):
         k0_hi = m**3 - m**2

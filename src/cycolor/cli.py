@@ -15,8 +15,8 @@ Exit codes:
        self-check, reported as "internal error"
     4  the search gave up before reaching an answer: a node or time budget
        ran out, or BudgetError (the exact chromatic-index search refused a
-       graph over its edge limit, or CNF export a formula over its clause
-       cap)
+       graph over its edge limit, CNF export a formula over its clause
+       cap, or the audit an m range over its cap)
 
 The error kind alone decides the exit code (see `cycolor.errors`).
 """

@@ -20,15 +20,19 @@ assignments correspond one-to-one with valid colorings.
 
 The clause count grows as t^2 per edge and vertex, so `encode` computes it
 first (`_clause_count`) and refuses more than CLAUSE_CAP clauses. Every
-clause holds the one int object of each of its literals, and `to_dimacs`
-formats each literal once and writes the clauses in joined chunks, so an
-encoding costs memory per clause, not per literal occurrence.
+clause holds the one int object of each of its literals, and `encode` builds
+each at-most-one block with `itertools.combinations`. `to_dimacs` formats
+each literal once and writes a chunk of clauses as one join over their
+literals, each clause ended by a literal 0 that formats as the terminator,
+so an encoding costs memory per clause, not per literal occurrence.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import chain, combinations, repeat
+from operator import add
 
 from .coloring import Coloring, check_cyclically_interval
 from .errors import BudgetError, InputError, UsageError
@@ -73,16 +77,14 @@ class CnfEncoding:
                 lines.append(f"c var {self.arc_var(v_idx, s)} : vertex {name[v]} arc-start {s}\n")
         lines.append(f"p cnf {self.num_vars} {len(self.clauses)}\n")
         # word[lit] is literal lit and the space after it, formatted once; a
-        # negative lit indexes from the end of the list
+        # negative lit indexes from the end of the list. No clause holds
+        # literal 0, so word[0] is the clause terminator.
         n = self.num_vars
         word = [f"{lit} " for lit in range(n + 1)] + [f"{lit} " for lit in range(-n, 0)]
-        text = word.__getitem__
+        word[0] = "0\n"
         for at in range(0, len(self.clauses), _DIMACS_CHUNK):
-            chunk: list[str] = []
-            for clause in self.clauses[at : at + _DIMACS_CHUNK]:
-                chunk.extend(map(text, clause))
-                chunk.append("0\n")
-            lines.append("".join(chunk))
+            ended = map(add, self.clauses[at : at + _DIMACS_CHUNK], repeat((0,)))
+            lines.append("".join(map(word.__getitem__, chain.from_iterable(ended))))
         return "".join(lines)
 
     def decode_model(self, true_vars: set[int], verify: bool = True) -> Coloring:
@@ -158,23 +160,19 @@ def encode(g: Graph, t: int) -> CnfEncoding:
     neg = [-var for var in pos]
     colors = range(1, t + 1)
     clauses: list[tuple[int, ...]] = []
+    # Each at-most-one block is every pair of its negated literals, in the
+    # order of nested loops over increasing indices.
     for e in range(n_edges):
         clauses.append(tuple(pos[x(e, c)] for c in colors))
-        for c1 in colors:
-            for c2 in range(c1 + 1, t + 1):
-                clauses.append((neg[x(e, c1)], neg[x(e, c2)]))
+        clauses.extend(combinations([neg[x(e, c)] for c in colors], 2))
     for v in g.vertices:
         inc = [i for _, i in g.adjacency[v]]
         for c in colors:
-            for p in range(len(inc)):
-                for q in range(p + 1, len(inc)):
-                    clauses.append((neg[x(inc[p], c)], neg[x(inc[q], c)]))
+            clauses.extend(combinations([neg[x(i, c)] for i in inc], 2))
     for v_idx, v in enumerate(g.vertices):
         deg = len(g.adjacency[v])
         clauses.append(tuple(pos[a(v_idx, s)] for s in colors))
-        for s1 in colors:
-            for s2 in range(s1 + 1, t + 1):
-                clauses.append((neg[a(v_idx, s1)], neg[a(v_idx, s2)]))
+        clauses.extend(combinations([neg[a(v_idx, s)] for s in colors], 2))
         if deg >= t:
             clauses.append((pos[a(v_idx, 1)],))
         arcs = arc_masks(deg, t)

@@ -48,15 +48,17 @@ out of budget is its own outcome.
 enumerates every assignment in lexicographic order and shares no search
 logic with `decide`. Its default, vector, route is a blocked numpy sweep:
 every assignment of the last k edges (t^k <= _CHUNK) is laid out once, with
-each vertex's palette over those edges as a bitmask; the assignments of the
-first edges are walked in lex order, and under each one a vertex palette is
-judged by one lookup in a per-degree table over all 2^t bitmasks in which
-only the t arcs of deg colors (`intervals.arc_masks`) are set; it is empty
-when deg > t. Its arcs are those tables, not `cyclic_span`, so it shares
-none of `decide`'s prunes. The tables cap t at _MAX_VECTOR_T; past it a
-sweep is refused. The literal route judges each assignment with the
-checker; the tests use it as the reference for the vector sweep, with
-blocks as small as a few assignments.
+each vertex's palette over those edges as a bitmask. The vertices whose
+edges all lie in those last k are judged once, and only the rows they allow
+are kept. The assignments of the first edges are walked in lex order, and
+under each one a vertex palette is judged, on the kept rows alone, by one
+lookup in a per-degree table over all 2^t bitmasks in which only the t arcs
+of deg colors (`intervals.arc_masks`) are set; it is empty when deg > t.
+Its arcs are those tables, not `cyclic_span`, so it shares none of
+`decide`'s prunes. The tables cap t at _MAX_VECTOR_T; past it a sweep is
+refused. The literal route judges each assignment with the checker; the
+tests use it as the reference for the vector sweep, with blocks as small as
+a few assignments.
 """
 
 from __future__ import annotations
@@ -423,9 +425,10 @@ def _vector_sweep(
     suffix palette OR the colors its prefix edges carry, judged by one
     lookup in ok[deg], which is True exactly at the arcs of deg colors: deg
     distinct colors (properness) forming an arc. A vertex whose edges
-    all lie in the suffix is judged once per call; one whose edges all lie
-    in the prefix is judged once per prefix, and its failure rules out the
-    whole block.
+    all lie in the suffix is judged once per call, and only the suffix rows
+    that all such vertices allow are kept, so every block is judged on
+    those rows alone; one whose edges all lie in the prefix is judged once
+    per prefix, and its failure rules out the whole block.
 
     Returns (count, first certificate). With count_all False, stops at the
     first valid assignment.
@@ -469,6 +472,11 @@ def _vector_sweep(
             mixed.append((ok[deg], head, pal))
         else:
             base &= ok[deg][pal]
+    # Only the suffix rows that base allows can be valid under any prefix;
+    # rows is increasing, so the first valid one is still the lex-first.
+    rows = np.flatnonzero(base)
+    suffix_union = suffix_union[rows]
+    mixed = [(ok_d, head, pal[rows]) for ok_d, head, pal in mixed]
 
     count = 0
     first: Optional[Coloring] = None
@@ -476,12 +484,12 @@ def _vector_sweep(
         pbits = [1 << d for d in prefix]
         if not all(ok_d[_union(pbits, head)] for ok_d, head in prefix_only):
             continue
-        valid = base & ((suffix_union | _union(pbits, range(split))) == full)
+        valid = (suffix_union | _union(pbits, range(split))) == full
         for ok_d, head, pal in mixed:
             valid &= ok_d[pal | _union(pbits, head)]
         block_count = int(np.count_nonzero(valid))
         if block_count and first is None:
-            row = int(np.argmax(valid))
+            row = int(rows[np.argmax(valid)])
             colors = tuple(d + 1 for d in prefix) + tuple(int(d) + 1 for d in digits[row])
             first = Coloring(t=t, colors=colors)
             if not count_all:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from cycolor.audit import (
@@ -19,7 +21,7 @@ from cycolor.audit import (
     step_to_dict,
     summary_to_dict,
 )
-from cycolor.errors import UsageError
+from cycolor.errors import BudgetError, UsageError
 
 
 def _step(report, name):
@@ -168,6 +170,26 @@ def test_audit_range_beyond_exhaustive_limit():
     summary = audit_range(13, 14)
     assert summary.all_passed
     assert all(not e.exhaustive_checked for e in summary.entries)
+
+
+def test_audit_range_over_the_benchmark_range():
+    # the argument's mid-color bound 4m - 1 <= floor(m^2 / 2) holds exactly for m >= 8
+    summary = audit_range(2, 1000)
+    assert [(e.m, e.passed) for e in summary.entries] == [
+        (m, 4 * m - 1 <= m * m // 2) for m in range(2, 1001)
+    ]
+    assert {e.failing_step for e in summary.entries if not e.passed} == {STEP_BOUNDS}
+    assert [e.m for e in summary.entries if e.exhaustive_checked] == list(range(2, 13))
+
+
+def test_audit_range_refuses_more_m_than_its_cap(monkeypatch):
+    with pytest.raises(BudgetError, match=r"holds 9999999 values, past the cap 10000$"):
+        audit_range(2, 10_000_000)
+    # the package exports the function `audit`, which hides the module
+    monkeypatch.setattr(importlib.import_module("cycolor.audit"), "RANGE_CAP", 3)
+    assert [e.m for e in audit_range(2, 4).entries] == [2, 3, 4]
+    with pytest.raises(BudgetError, match=r"\[2, 5\] holds 4 values"):
+        audit_range(2, 5)
 
 
 def test_audit_range_validation():

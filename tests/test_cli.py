@@ -209,6 +209,15 @@ def test_audit_exits_by_verdict(tmp_path, capsys):
     assert main(["audit", "--m-min", "9", "--m-max", "8"]) == EXIT_USAGE
 
 
+def test_audit_past_the_range_cap_exits_4(capsys):
+    # ten million values of m would keep about 67 GB of reports
+    assert main(["audit", "--m-min", "2", "--m-max", "10000000"]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_export_cnf(tmp_path, capsys):
     gp = _write_graph(tmp_path, gen_path(2))
     assert main(["export-cnf", "--graph", gp, "--t", "2"]) == EXIT_OK
