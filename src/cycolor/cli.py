@@ -16,7 +16,9 @@ Exit codes:
     4  the search gave up before reaching an answer: a node or time budget
        ran out, or BudgetError (the exact chromatic-index search refused a
        graph over its edge limit, CNF export a formula over its clause
-       cap, or the audit an m range over its cap)
+       cap, the audit an m range over its cap, or `check` a coloring whose
+       t exceeds the edge count by more than 10^5, as a verdict lists
+       every unused color)
 
 The error kind alone decides the exit code (see `cycolor.errors`).
 """
@@ -68,7 +70,7 @@ def _load(path: str, parse: Callable[[str], T]) -> T:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         return parse(text)
@@ -110,12 +112,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.a is None or args.b is None:
             raise UsageError("--a and --b are required for --family kab")
         g = families.gen_complete_bipartite(args.a, args.b)
-    elif fam == "tree":
+    else:  # tree, the last of the --family choices
         if args.n is None or args.seed is None:
             raise UsageError("--n and --seed are required for --family tree")
         g = families.gen_random_tree(args.n, args.seed)
-    else:  # pragma: no cover - argparse choices forbid this
-        raise UsageError(f"unknown family {fam!r}")
     _emit(graphs.to_json(g), args.out)
     return EXIT_OK
 

@@ -23,13 +23,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import InputError, UsageError
-from .graphs import Graph, is_connected
+from .errors import BudgetError, InputError, UsageError
+from .graphs import Graph, is_connected, require_match
 from .intervals import ColorSet
 
 KIND_NOT_PROPER = "not-proper"
 KIND_COLOR_UNUSED = "color-unused"
 KIND_BAD_PALETTE = "bad-palette"
+
+# A verdict lists every unused color, and at least t - |E| colors go unused,
+# so the checkers refuse a coloring whose t exceeds |E| by more than this.
+MAX_UNUSED_COLORS = 10**5
 
 
 @dataclass(frozen=True)
@@ -58,13 +62,6 @@ class Verdict:
     failures: tuple[Failure, ...]
 
 
-def _require_match(g: Graph, c: Coloring) -> None:
-    if len(c.colors) != len(g.edges):
-        raise InputError(
-            f"coloring has {len(c.colors)} entries but graph has {len(g.edges)} edges"
-        )
-
-
 def _require_connected(g: Graph) -> None:
     if not is_connected(g):
         raise InputError("checkers accept connected graphs only")
@@ -72,7 +69,7 @@ def _require_connected(g: Graph) -> None:
 
 def palette(g: Graph, c: Coloring, v: str) -> ColorSet:
     """The set of colors appearing on edges incident to v."""
-    _require_match(g, c)
+    require_match(g, c)
     if v not in g.adjacency:
         raise UsageError(f"no vertex {v!r}")
     return ColorSet.of(c.t, (c.colors[idx] for _, idx in g.adjacency[v]))
@@ -116,8 +113,10 @@ def _palette_admissible(mask: int, full: int) -> bool:
     return _is_plain_interval(mask) or not comp or _is_plain_interval(comp)
 
 
-def _members(mask: int, t: int) -> list[int]:
-    return [color for color in range(1, t + 1) if mask >> color & 1]
+def _members(mask: int) -> list[int]:
+    """The colors in a palette bitmask (bit c = color c), ascending, in one
+    pass over its binary digits."""
+    return [color for color, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def _scan(g: Graph, c: Coloring, palettes: bool) -> Verdict:
@@ -126,10 +125,16 @@ def _scan(g: Graph, c: Coloring, palettes: bool) -> Verdict:
     Each vertex palette is a bitmask, bit c for color c. The vertex is proper
     when its mask holds one color per incident edge, and every color is used
     when the union of the masks is full. Failures are spelled out only when
-    something fails.
+    something fails. A t more than MAX_UNUSED_COLORS past the edge count is
+    a BudgetError, raised before any mask is built.
     """
     _require_connected(g)
-    _require_match(g, c)
+    require_match(g, c)
+    if c.t - len(g.edges) > MAX_UNUSED_COLORS:
+        raise BudgetError(
+            f"t={c.t} leaves at least {c.t - len(g.edges)} of its colors unused on"
+            f" {len(g.edges)} edges; a verdict lists at most {MAX_UNUSED_COLORS}"
+        )
     colors = c.colors
     full = (2 << c.t) - 2  # bits 1..t
     used = 0
@@ -161,7 +166,7 @@ def _scan(g: Graph, c: Coloring, palettes: bool) -> Verdict:
                         detail=f"color {color} repeats on edges {by_color[color]}",
                     )
                 )
-    for color in _members(full ^ used, c.t):
+    for color in _members(full ^ used):
         failures.append(
             Failure(
                 kind=KIND_COLOR_UNUSED,
@@ -175,8 +180,8 @@ def _scan(g: Graph, c: Coloring, palettes: bool) -> Verdict:
                 kind=KIND_BAD_PALETTE,
                 location=v,
                 detail=(
-                    f"palette {_members(mask, c.t)} is not an interval of [1, {c.t}] "
-                    f"and neither is its complement {_members(full ^ mask, c.t)}"
+                    f"palette {_members(mask)} is not an interval of [1, {c.t}] "
+                    f"and neither is its complement {_members(full ^ mask)}"
                 ),
             )
         )
@@ -206,7 +211,8 @@ def to_json(c: Coloring) -> str:
 def from_json(text: str) -> Coloring:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError: malformed JSON or an over-long integer; RecursionError: deep nesting
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"not valid JSON: {exc}") from exc
     return from_dict(data)
 

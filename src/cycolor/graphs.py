@@ -93,6 +93,14 @@ def build_graph(vertices: list[str], edges: list[tuple[str, str]]) -> Graph:
     )
 
 
+def require_match(g: Graph, coloring) -> None:
+    """Refuse a coloring that does not hold exactly one color per edge."""
+    if len(coloring.colors) != len(g.edges):
+        raise InputError(
+            f"coloring has {len(coloring.colors)} entries but graph has {len(g.edges)} edges"
+        )
+
+
 def max_degree(g: Graph) -> int:
     if not g.vertices:
         return 0
@@ -179,7 +187,8 @@ def to_json(g: Graph) -> str:
 def from_json(text: str) -> Graph:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError: malformed JSON or an over-long integer; RecursionError: deep nesting
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"not valid JSON: {exc}") from exc
     return from_dict(data)
 
@@ -190,10 +199,8 @@ def to_dot(g: Graph, coloring=None) -> str:
     Each vertex label is written as its JSON string, so a quote or a
     backslash is escaped and a control character cannot break the line.
     """
-    if coloring is not None and len(coloring.colors) != len(g.edges):
-        raise InputError(
-            f"coloring has {len(coloring.colors)} entries but graph has {len(g.edges)} edges"
-        )
+    if coloring is not None:
+        require_match(g, coloring)
     ids = {v: json.dumps(v, ensure_ascii=False) for v in g.vertices}
     lines = ["graph g {"]
     for v in g.vertices:

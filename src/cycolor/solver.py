@@ -27,14 +27,14 @@ from the next one to try on; those in both endpoints' windows clear prune
 The lowest survivor is placed. One node is one color that clears prune (i),
 so a position counts its proper colors up to the one placed, or all of them
 when none survives; the node budget stops at exactly budget + 1 nodes, and
-the clock is read whenever the count crosses a multiple of 1024. The
-prefix replay (`certificate_prefix_survives`) is the same search allowed
-only the certificate's color at each position, so the two cannot drift.
-Windows come from a memo made for each search and keyed on the palette
-rotated so that its lowest color is color 1, and on the degree
-(`_window_kernel`); a miss judges each color by the span memo
-(`_arc_span_kernel`), whose misses are computed by `cyclic_span`, the one
-definition of an arc.
+the clock is read whenever the count crosses a multiple of 1024 within the
+node budget. The prefix replay (`certificate_prefix_survives`) is the same
+search allowed only the certificate's color at each position, so the two
+cannot drift. Windows come from one memo made for each search
+(`_window_kernel`), keyed on the palette rotated so that its lowest color
+is color 1, and on the degree. A miss looks up the span of each palette it
+judges in a second dict, keyed on the palette as it is, with no rotation; a
+span miss is computed by `cyclic_span`, the one definition of an arc.
 
 The chromatic index asks the same search one question: at t = Δ, with
 every degree raised to Δ, a valid coloring is a proper Δ-coloring
@@ -64,6 +64,7 @@ a few assignments.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import time
 import warnings
@@ -73,9 +74,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coloring import Coloring, _require_match, check_cyclically_interval, check_proper
+from .coloring import Coloring, check_cyclically_interval, check_proper
 from .errors import BudgetError, InputError, InternalError, UsageError
-from .graphs import Bipartition, Graph, bipartition, is_connected, max_degree
+from .graphs import Bipartition, Graph, bipartition, is_connected, max_degree, require_match
 from .intervals import ColorSet, arc_masks, cyclic_span
 
 COLORABLE = "colorable"
@@ -157,49 +158,24 @@ def _edge_positions(g: Graph) -> list[int]:
     return order
 
 
-def _mask_span(mask: int, t: int) -> int:
-    """cyclic_span of the palette encoded as a bitmask (bit c-1 = color c)."""
-    members = [b + 1 for b in range(t) if mask >> b & 1]
-    return cyclic_span(ColorSet.of(t, members))
-
-
-def _arc_span_kernel(t: int) -> Callable[[int], int]:
-    """A memoized `_mask_span` for one palette size t.
-
-    The returned function maps a nonempty palette bitmask to its cyclic
-    span; a palette fits an arc of length k iff its span is <= k. Span does
-    not change under rotation of the color cycle, so the memo is keyed on
-    the mask rotated until its lowest color is color 1, which folds the t
-    rotations of a palette into one entry. The memo lives only as long as
-    the returned function: each search pays for its own misses.
-    """
-    spans: dict[int, int] = {}
-
-    def span(mask: int) -> int:
-        key = mask >> ((mask & -mask).bit_length() - 1)
-        got = spans.get(key)
-        if got is None:
-            got = spans[key] = _mask_span(key, t)
-        return got
-
-    return span
-
-
 def _window_kernel(t: int) -> Callable[[int, int], int]:
     """A memoized arc window for one palette size t.
 
     window(mask, d) is the bitmask of the colors c with
     cyclic_span(mask | c) <= d: the colors that a vertex of degree d whose
-    palette is the nonempty `mask` may still take under prune (ii). Like the
-    span memo, the window memo is keyed on the mask rotated until its lowest
-    color is color 1 (and on d), and a hit is rotated back. A miss judges
-    each color through the span memo, so `cyclic_span` stays the one
-    definition of an arc; a color at cyclic distance d or more from color 1
-    is skipped, as no arc of d colors holds both.
+    palette is the nonempty `mask` may still take under prune (ii). The
+    window memo is keyed on the mask rotated until its lowest color is
+    color 1 (and on d), and a hit is rotated back. A miss judges each color
+    by the span of the palette with it added; a color at cyclic distance d
+    or more from color 1 is skipped, as no arc of d colors holds both. The
+    spans have their own memo, keyed on the palette as it is (every one
+    holds color 1), and a span miss is computed by `cyclic_span`, the one
+    definition of an arc. Both memos live only as long as the returned
+    function: each search pays for its own misses.
     """
     full = (1 << t) - 1
-    span = _arc_span_kernel(t)
     windows: dict[int, int] = {}
+    spans: dict[int, int] = {}
 
     def window(mask: int, d: int) -> int:
         if d >= t:
@@ -210,8 +186,14 @@ def _window_kernel(t: int) -> Callable[[int, int], int]:
         if got is None:
             got = 0
             for b in range(t):
-                if (b < d or t - b < d) and span(key | 1 << b) <= d:
-                    got |= 1 << b
+                if b < d or t - b < d:
+                    arc = key | 1 << b
+                    span = spans.get(arc)
+                    if span is None:
+                        members = [c + 1 for c in range(t) if arc >> c & 1]
+                        span = spans[arc] = cyclic_span(ColorSet.of(t, members))
+                    if span <= d:
+                        got |= 1 << b
             windows[key * t + d] = got
         return (got << low | got >> (t - low)) & full
 
@@ -269,10 +251,11 @@ def _search(
     placed = [0] * n_edges  # the color bit at each position
 
     budget = cfg.node_budget
+    limit = math.inf if budget is None else budget + 1  # the count that stops the search
     deadline = None if cfg.time_budget is None else time.monotonic() + cfg.time_budget
-    # The node count at which a budget or the clock is next checked: the
-    # clock is read when the count crosses a multiple of 1024.
-    check = 1024 if budget is None else min(budget + 1, 1024)
+    # The node count at which the limit or the clock is next checked: the
+    # clock is read when the count crosses a multiple of 1024 below the limit.
+    check = min(limit, 1024)
     nodes = 0
 
     pos, nxt = 0, 1  # nxt: the lowest color bit still to try at pos
@@ -294,20 +277,13 @@ def _search(
             n = nodes + proper.bit_count()
         if n >= check:
             mark = (nodes | 1023) + 1
-            if (
-                n >= mark
-                and deadline is not None
-                and (budget is None or mark <= budget)
-                and time.monotonic() > deadline
-            ):
+            if n >= mark and mark < limit and deadline is not None and time.monotonic() > deadline:
                 reason = f"time budget {cfg.time_budget}s exhausted"
                 return SearchOutcome(BUDGET_EXCEEDED, reason=reason, nodes=mark), placed
-            if budget is not None and n > budget:
+            if n >= limit:
                 reason = f"node budget {budget} exhausted"
-                return SearchOutcome(BUDGET_EXCEEDED, reason=reason, nodes=budget + 1), placed
-            check = (n | 1023) + 1
-            if budget is not None and budget < check:
-                check = budget + 1
+                return SearchOutcome(BUDGET_EXCEEDED, reason=reason, nodes=limit), placed
+            check = min((n | 1023) + 1, limit)
         nodes = n
         if fit:
             placed[pos] = bit
@@ -396,7 +372,7 @@ def certificate_prefix_survives(g: Graph, cert: Coloring) -> bool:
     """
     if not is_connected(g):  # the edge order covers one component only
         raise InputError("certificate_prefix_survives accepts connected graphs only")
-    _require_match(g, cert)
+    require_match(g, cert)
     order, eu, ev, degree = _layout(g)
     allowed = [1 << (cert.colors[e] - 1) for e in order]
     outcome, _ = _search(eu, ev, degree, cert.t, allowed, SolverConfig())
@@ -594,11 +570,6 @@ def chromatic_index(g: Graph) -> int:
     return delta if _proper_search(g).status == COLORABLE else delta + 1
 
 
-def _decide_task(args: tuple[Graph, int, SolverConfig]) -> tuple[int, SearchOutcome]:
-    g, t, cfg = args
-    return t, decide(g, t, cfg)
-
-
 def spectrum(
     g: Graph,
     t_min: Optional[int] = None,
@@ -640,14 +611,12 @@ def spectrum(
             f" (meaningful window is [{lo_bound}, {hi_bound}])"
         )
     ts = list(range(lo, hi + 1))
-    outcomes: dict[int, SearchOutcome] = {}
+    tasks = (itertools.repeat(g), ts, itertools.repeat(cfg))
     # the pool forks all its workers up front, so start no more than can run
     workers = min(jobs, len(ts), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for t, out in pool.map(_decide_task, [(g, t, cfg) for t in ts]):
-                outcomes[t] = out
+            outs = list(pool.map(decide, *tasks))
     else:
-        for t in ts:
-            outcomes[t] = decide(g, t, cfg)
-    return SpectrumResult(graph_id=graph_id, t_min=lo, t_max=hi, outcomes=outcomes)
+        outs = list(map(decide, *tasks))
+    return SpectrumResult(graph_id=graph_id, t_min=lo, t_max=hi, outcomes=dict(zip(ts, outs)))

@@ -246,7 +246,10 @@ def test_io_error_exits(tmp_path, capsys):
     # graph or coloring that is malformed or not accepted.
     def write(name, payload):
         path = tmp_path / name
-        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        if isinstance(payload, bytes):
+            path.write_bytes(payload)
+        else:
+            path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         return str(path)
 
     missing = str(tmp_path / "nope.json")
@@ -263,6 +266,9 @@ def test_io_error_exits(tmp_path, capsys):
         "duplicate-vertex": {"vertices": ["a", "a"], "edges": []},
         "duplicate-edge": {"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]},
         "self-loop": {"vertices": ["a"], "edges": [["a", "a"]]},
+        "nested-too-deep": "[" * 100_000,
+        "utf-16-bom": b"\xff\xfe{}",
+        "int-too-long": '{"vertices": [], "edges": [], "n": 1' + "0" * 5000 + "}",
     }
     coloring_rows = {
         "mangled": "{not json",
@@ -271,6 +277,9 @@ def test_io_error_exits(tmp_path, capsys):
         "t-not-positive": {"t": 0, "colors": []},
         "color-out-of-range": {"t": 2, "colors": [1, 2, 3, 1]},
         "too-short": {"t": 2, "colors": [1, 2]},
+        "nested-too-deep": "[" * 100_000,
+        "utf-16-bom": b"\xff\xfe{}",
+        "int-too-long": '{"t": 1' + "0" * 5000 + ', "colors": []}',
     }
     rows = [
         ["check", "--graph", missing, "--coloring", missing],
@@ -294,6 +303,25 @@ def test_io_error_exits(tmp_path, capsys):
         assert main(argv) == EXIT_IO, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "internal error" not in err, argv
+
+
+def test_check_refuses_a_t_far_past_the_edge_count(tmp_path, capsys):
+    # A verdict lists every unused color, so a t of a billion on two edges is
+    # refused before any palette mask is built.
+    gp = _write_graph(tmp_path, gen_path(2))
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"t": 10**9, "colors": [1, 2]}), encoding="utf-8")
+    assert main(["check", "--graph", gp, "--coloring", str(huge)]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    # a few colors past the edge count are still checked, and listed in order
+    cp = _write_coloring(tmp_path, coloring_mod.Coloring(5, (1, 2)))
+    assert main(["check", "--graph", gp, "--coloring", cp]) == EXIT_CHECKED_FALSE
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert [f["location"] for f in failures] == ["3", "4", "5"]
+    assert {f["kind"] for f in failures} == {coloring_mod.KIND_COLOR_UNUSED}
 
 
 @pytest.mark.parametrize(

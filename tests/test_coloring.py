@@ -9,6 +9,7 @@ import random
 import pytest
 
 from cycolor.coloring import (
+    MAX_UNUSED_COLORS,
     Coloring,
     check_cyclically_interval,
     check_proper,
@@ -17,7 +18,7 @@ from cycolor.coloring import (
     to_json,
     verdict_to_dict,
 )
-from cycolor.errors import InputError, UsageError
+from cycolor.errors import BudgetError, InputError, UsageError
 from cycolor.families import gen_cycle, gen_gm, gen_path, gen_random_tree, gen_star
 from cycolor.graphs import build_graph
 from cycolor.intervals import ColorSet, is_cyclic_interval
@@ -231,3 +232,15 @@ def test_json_rejects_malformed_payloads():
         from_json('{"t": 2, "colors": [1, 9]}')
     with pytest.raises(InputError, match="'colors' must be a list of integers"):
         from_json('{"t": 2, "colors": "zz"}')
+
+
+def test_checkers_cap_the_unused_colors_they_list():
+    # At least t - |E| colors go unused, and a verdict lists each of them.
+    g = gen_path(2)
+    at_cap = Coloring(2 + MAX_UNUSED_COLORS, (1, 2))
+    v = check_cyclically_interval(g, at_cap)
+    assert len(v.failures) == MAX_UNUSED_COLORS
+    assert v.failures[0].location == "3" and v.failures[-1].location == str(at_cap.t)
+    for check in (check_proper, check_cyclically_interval):
+        with pytest.raises(BudgetError, match=f"at most {MAX_UNUSED_COLORS}"):
+            check(g, Coloring(at_cap.t + 1, (1, 2)))

@@ -34,7 +34,6 @@ from cycolor.solver import (
     NOT_COLORABLE,
     SearchOutcome,
     SolverConfig,
-    _arc_span_kernel,
     _window_kernel,
     brute_force_decide,
     certificate_prefix_survives,
@@ -170,6 +169,14 @@ def test_budgets_interrupt_instead_of_lying():
     assert out.status == BUDGET_EXCEEDED
     assert out.reason == "time budget 0.05s exhausted"
     assert out.nodes % 1024 == 0
+    # With both budgets, the clock is read at 1024 nodes only if that mark is
+    # within the node budget; otherwise the node budget stops the search first.
+    for node_budget, reason in (
+        (1023, "node budget 1023 exhausted"),
+        (1024, "time budget 1e-09s exhausted"),
+    ):
+        out = decide(gen_gm(3), 14, SolverConfig(node_budget=node_budget, time_budget=1e-9))
+        assert (out.status, out.reason, out.nodes) == (BUDGET_EXCEEDED, reason, 1024)
 
 
 def test_prunes_never_cut_a_valid_certificate_prefix():
@@ -491,9 +498,8 @@ def test_spectrum_parallel_matches_serial():
     g = gen_gm(2)
     serial = spectrum(g)
     parallel = spectrum(g, jobs=2)
-    assert {t: o.status for t, o in serial.outcomes.items()} == {
-        t: o.status for t, o in parallel.outcomes.items()
-    }
+    # outcomes compare by status, coloring, reason and nodes
+    assert parallel.outcomes == serial.outcomes
 
 
 def test_spectrum_pool_is_capped_by_window_and_cpus(monkeypatch):
@@ -511,8 +517,8 @@ def test_spectrum_pool_is_capped_by_window_and_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(solver, "ProcessPoolExecutor", SerialPool)
     g = gen_gm(2)  # a 5-t window, 4..8
@@ -600,18 +606,6 @@ def test_edgeless_graphs_have_nothing_to_search():
         assert certificate_prefix_survives(g, Coloring(1, ()))
         out = decide(g, 1)
         assert out.status == NOT_COLORABLE and "edge count" in out.reason
-
-
-def test_arc_span_kernel_matches_the_interval_algebra():
-    """The rotated memo key gives the same fit answer as the unrotated span."""
-    for t in range(1, 13):
-        span = _arc_span_kernel(t)
-        for mask in range(1, 1 << t):
-            members = [c for c in range(1, t + 1) if mask >> (c - 1) & 1]
-            want = cyclic_span(ColorSet.of(t, members))
-            got = span(mask)
-            for k in range(1, t + 1):
-                assert (got <= k) == (want <= k), (t, members, k)
 
 
 def test_window_kernel_matches_the_span_definition():
