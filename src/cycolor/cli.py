@@ -14,11 +14,11 @@ Exit codes:
        coloring is malformed or not accepted; also InternalError, a failed
        self-check, reported as "internal error"
     4  the search gave up before reaching an answer: a node or time budget
-       ran out, or BudgetError (the exact chromatic-index search refused a
-       graph over its edge limit, CNF export a formula over its clause
-       cap, the audit an m range over its cap, or `check` a coloring whose
-       t exceeds the edge count by more than 10^5, as a verdict lists
-       every unused color)
+       ran out, or BudgetError (a generator refused a graph over its edge
+       cap, the exact chromatic-index search a graph over its edge limit,
+       CNF export a formula over its clause cap, the audit an m range over
+       its cap, or `check` a coloring whose t exceeds the edge count by
+       more than 10^5, as a verdict lists every unused color)
 
 The error kind alone decides the exit code (see `cycolor.errors`).
 """
@@ -92,6 +92,7 @@ def _outcome_dict(out: solver.SearchOutcome) -> dict:
         "status": out.status,
         "reason": out.reason,
         "nodes": out.nodes,
+        "seconds": out.seconds,
         "coloring": None if out.coloring is None else coloring_mod.to_dict(out.coloring),
     }
 
@@ -169,7 +170,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     for t in sorted(result.outcomes):
         out = result.outcomes[t]
-        print(f"t={t:>4}  {out.status:<16} nodes={out.nodes}", file=sys.stderr)
+        print(
+            f"t={t:>4}  {out.status:<16} nodes={out.nodes:<12} {out.seconds:.3f} s", file=sys.stderr
+        )
     return _exit_for({o.status for o in result.outcomes.values()})
 
 

@@ -17,6 +17,10 @@ Edge order is part of the contract: certificates index into it.
 Hub edges come first, (p, q)-lexicographic; then for each pair (i, j) in
 lexicographic order and each q = 1..m, the edge to y_{i,q} and then the
 edge to y_{j,q}.
+
+Every generator checks the closed-form edge count of the graph it is asked
+for against EDGE_CAP before it builds anything, and refuses a larger graph
+with a BudgetError.
 """
 
 from __future__ import annotations
@@ -24,8 +28,16 @@ from __future__ import annotations
 import heapq
 import random
 
-from .errors import UsageError
+from .errors import BudgetError, UsageError
 from .graphs import Graph, build_graph
+
+# A built graph holds about 1 kB per edge, so no generator builds more edges.
+EDGE_CAP = 100_000
+
+
+def _require_edge_count(graph: str, edges: int) -> None:
+    if edges > EDGE_CAP:
+        raise BudgetError(f"{graph} would have {edges} edges, past the cap {EDGE_CAP}")
 
 
 def hub_label() -> str:
@@ -49,6 +61,7 @@ def gen_gm(m: int) -> Graph:
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 2:
         raise UsageError(f"m must be an integer >= 2, got {m!r}")
+    _require_edge_count(f"gm({m})", m**3)
     vertices = [hub_label()]
     vertices += [pair_label(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
     vertices += [grid_label(p, q) for p in range(1, m + 1) for q in range(1, m + 1)]
@@ -69,6 +82,7 @@ def gen_path(n: int) -> Graph:
     """Path with n edges (n + 1 vertices v1..v{n+1})."""
     if n < 1:
         raise UsageError(f"path needs >= 1 edge, got {n}")
+    _require_edge_count(f"path({n})", n)
     vertices = [f"v{k}" for k in range(1, n + 2)]
     edges = [(f"v{k}", f"v{k + 1}") for k in range(1, n + 1)]
     return build_graph(vertices, edges)
@@ -78,6 +92,7 @@ def gen_cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices v1..vn."""
     if n < 3:
         raise UsageError(f"cycle needs >= 3 vertices, got {n}")
+    _require_edge_count(f"cycle({n})", n)
     vertices = [f"v{k}" for k in range(1, n + 1)]
     edges = [(f"v{k}", f"v{k + 1}") for k in range(1, n)]
     edges.append((f"v{n}", "v1"))
@@ -88,6 +103,7 @@ def gen_star(n: int) -> Graph:
     """Star with n >= 1 leaves: center "c", leaves l1..ln."""
     if n < 1:
         raise UsageError(f"star needs >= 1 leaf, got {n}")
+    _require_edge_count(f"star({n})", n)
     vertices = ["c"] + [f"l{k}" for k in range(1, n + 1)]
     edges = [("c", f"l{k}") for k in range(1, n + 1)]
     return build_graph(vertices, edges)
@@ -97,6 +113,7 @@ def gen_complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with parts a1..a{a} and b1..b{b}, edges in (i, j) lex order."""
     if a < 1 or b < 1:
         raise UsageError(f"both sides need >= 1 vertex, got {a}, {b}")
+    _require_edge_count(f"K({a}, {b})", a * b)
     vertices = [f"a{i}" for i in range(1, a + 1)] + [f"b{j}" for j in range(1, b + 1)]
     edges = [(f"a{i}", f"b{j}") for i in range(1, a + 1) for j in range(1, b + 1)]
     return build_graph(vertices, edges)
@@ -112,6 +129,7 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     """
     if n < 1:
         raise UsageError(f"tree needs >= 1 vertex, got {n}")
+    _require_edge_count(f"tree({n})", n - 1)
     vertices = [f"v{k}" for k in range(1, n + 1)]
     if n == 1:
         return build_graph(vertices, [])

@@ -24,8 +24,9 @@ from .errors import InputError
 class Graph:
     """Immutable graph. `adjacency` maps each vertex to (neighbor, edge_index) pairs.
 
-    Properties derived from the structure (`incidence`, `connected`) are
-    computed on first use and kept, since the graph never changes.
+    Properties derived from the structure (`incidence`, `twin_classes`,
+    `connected`) are computed on first use and kept, since the graph never
+    changes.
     """
 
     vertices: tuple[str, ...]
@@ -36,6 +37,18 @@ class Graph:
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """The incident edge indices of each vertex, in vertex order."""
         return tuple(tuple(idx for _, idx in self.adjacency[v]) for v in self.vertices)
+
+    @functools.cached_property
+    def twin_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The false-twin classes: the vertex indices (in vertex order) of
+        each set of two or more vertices with the same nonempty open
+        neighbourhood, ordered by their first vertex. Twins are never
+        adjacent, and any permutation of a class is an automorphism."""
+        classes: dict[frozenset[str], list[int]] = {}
+        for i, v in enumerate(self.vertices):
+            if self.adjacency[v]:
+                classes.setdefault(frozenset(w for w, _ in self.adjacency[v]), []).append(i)
+        return tuple(tuple(c) for c in classes.values() if len(c) > 1)
 
     @functools.cached_property
     def connected(self) -> bool:

@@ -16,6 +16,15 @@ from the first vertex of maximum degree: its edges come first, and every
 later edge shares a vertex with an earlier one, so prunes (i) and (ii)
 judge each palette from its first edge on.
 
+Symmetry breaking (`_symmetry_rules`) keeps one image of each valid
+coloring under color rotation and the permutations of false twins
+(vertices with the same open neighbourhood, `Graph.twin_classes`), in the
+lex-leader style of Crawford, Ginsberg, Luks and Roy (KR 1996): for
+t > Δ the root's Δ edges take colors in [1, Δ], at t = Δ one of them
+takes color 1, and the edges from one common neighbour to a twin class
+take increasing colors in search order. A position may then take only
+the colors in allowed[p], and only those above the color at gt[p].
+
 The search is iterative: an explicit stack holds the color placed at each
 edge position, over integer vertex ids and bitmask palettes, so the depth
 of a graph is not bounded by Python's recursion limit. It judges all colors
@@ -29,12 +38,14 @@ so a position counts its proper colors up to the one placed, or all of them
 when none survives; the node budget stops at exactly budget + 1 nodes, and
 the clock is read whenever the count crosses a multiple of 1024 within the
 node budget. The prefix replay (`certificate_prefix_survives`) is the same
-search allowed only the certificate's color at each position, so the two
-cannot drift. Windows come from one memo made for each search
-(`_window_kernel`), keyed on the palette rotated so that its lowest color
-is color 1, and on the degree. A miss looks up the span of each palette it
-judges in a second dict, keyed on the palette as it is, with no rotation; a
-span miss is computed by `cyclic_span`, the one definition of an arc.
+search allowed only the certificate's color at each position, with no
+symmetry rule, so the two cannot drift. Windows come from one memo made
+for each search (`_window_kernel`), keyed on the palette rotated so that
+its lowest color is color 1, and on the degree. A window is one arc around
+color 1, so a miss walks out from color 1 both ways and stops each walk at
+the first color that fails, looking up the span of each palette it judges
+in a second dict, keyed on the palette as it is, with no rotation; a span
+miss is computed by `cyclic_span`, the one definition of an arc.
 
 The chromatic index asks the same search one question: at t = Δ, with
 every degree raised to Δ, a valid coloring is a proper Δ-coloring
@@ -69,7 +80,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -112,6 +123,8 @@ class SearchOutcome:
     coloring: Optional[Coloring] = None
     reason: str = ""
     nodes: int = 0
+    # wall seconds `decide` took; outcomes compare equal without it
+    seconds: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -165,17 +178,28 @@ def _window_kernel(t: int) -> Callable[[int, int], int]:
     cyclic_span(mask | c) <= d: the colors that a vertex of degree d whose
     palette is the nonempty `mask` may still take under prune (ii). The
     window memo is keyed on the mask rotated until its lowest color is
-    color 1 (and on d), and a hit is rotated back. A miss judges each color
-    by the span of the palette with it added; a color at cyclic distance d
-    or more from color 1 is skipped, as no arc of d colors holds both. The
-    spans have their own memo, keyed on the palette as it is (every one
-    holds color 1), and a span miss is computed by `cyclic_span`, the one
-    definition of an arc. Both memos live only as long as the returned
-    function: each search pays for its own misses.
+    color 1 (and on d), and a hit is rotated back. The window is the union
+    of the arcs of d colors that hold the palette, all of which hold color
+    1, so it is one arc around color 1. A miss first takes the span of the
+    palette itself (past d, the window is empty), then walks up from color
+    1 and down from color t, each walk stopping at its first color that
+    fails; a color already in the palette keeps the palette's span and is
+    passed without a new one. The spans have their own memo, keyed on
+    the palette as it is (every one holds color 1), and a span miss is
+    computed by `cyclic_span`, the one definition of an arc. Both memos
+    live only as long as the returned function: each search pays for its
+    own misses.
     """
     full = (1 << t) - 1
     windows: dict[int, int] = {}
     spans: dict[int, int] = {}
+
+    def span(arc: int) -> int:
+        got = spans.get(arc)
+        if got is None:
+            members = [c + 1 for c in range(t) if arc >> c & 1]
+            got = spans[arc] = cyclic_span(ColorSet.of(t, members))
+        return got
 
     def window(mask: int, d: int) -> int:
         if d >= t:
@@ -185,15 +209,15 @@ def _window_kernel(t: int) -> Callable[[int, int], int]:
         got = windows.get(key * t + d)
         if got is None:
             got = 0
-            for b in range(t):
-                if b < d or t - b < d:
-                    arc = key | 1 << b
-                    span = spans.get(arc)
-                    if span is None:
-                        members = [c + 1 for c in range(t) if arc >> c & 1]
-                        span = spans[arc] = cyclic_span(ColorSet.of(t, members))
-                    if span <= d:
-                        got |= 1 << b
+            if span(key) <= d:
+                up = 0  # color 1 is in the palette
+                while up < t and (key >> up & 1 or span(key | 1 << up) <= d):
+                    got |= 1 << up
+                    up += 1
+                down = t - 1
+                while down > up and (key >> down & 1 or span(key | 1 << down) <= d):
+                    got |= 1 << down
+                    down -= 1
             windows[key * t + d] = got
         return (got << low | got >> (t - low)) & full
 
@@ -210,6 +234,56 @@ def _layout(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
     return order, eu, ev, [len(g.adjacency[v]) for v in g.vertices]
 
 
+def _symmetry_rules(
+    g: Graph, order: list[int], degree: list[int], t: int
+) -> tuple[list[int], list[int]]:
+    """The `allowed` and `gt` of `_search` under symmetry breaking, for t
+    from the max degree Δ to |E| on a connected graph.
+
+    h is the root of `order`, the first vertex of degree Δ, whose Δ edges
+    lead. Color rotation and permutations of a false-twin class map valid
+    colorings to valid colorings, so the search may keep one image of each:
+      (a) if Δ < t, h's palette, an arc of Δ colors, is rotated to [1, Δ]:
+          the first Δ positions take colors <= Δ;
+      (b) the edges from a common neighbour x to a twin class take strictly
+          increasing colors in search order, where x is h if h is a common
+          neighbour, else the first one in vertex order. A class holding h
+          is left alone, and so is one whose x lies in another such class,
+          since sorting that class would move x's edges;
+      (c) if Δ = t, rotation is still free: the first edge of a twin class
+          at h, or position 0 when h has no ordered class, takes color 1.
+    The image is reached by a rotation followed by sorting each ordered
+    class, which changes neither h's palette nor another ordered class.
+    """
+    n_edges = len(order)
+    delta = max(degree)
+    h = degree.index(delta)
+    vid = {v: i for i, v in enumerate(g.vertices)}
+    position = {e: p for p, e in enumerate(order)}
+    classes = [c for c in g.twin_classes if h not in c]
+    in_classes = {u for c in classes for u in c}
+    gt = [n_edges] * (n_edges + 1)
+    firsts_at_h = []
+    for c in classes:
+        common = {vid[w] for w, _ in g.adjacency[g.vertices[c[0]]]}
+        x = h if h in common else min(common)
+        if x in in_classes:
+            continue
+        chain = sorted(
+            position[e] for u in c for w, e in g.adjacency[g.vertices[u]] if vid[w] == x
+        )
+        for a, b in zip(chain, chain[1:]):
+            gt[b] = a
+        if x == h:
+            firsts_at_h.append(chain[0])
+    allowed = [(1 << t) - 1] * n_edges
+    if delta < t:
+        allowed[:delta] = [(1 << delta) - 1] * delta
+    else:
+        allowed[min(firsts_at_h, default=0)] = 1
+    return allowed, gt
+
+
 def _search(
     eu: list[int],
     ev: list[int],
@@ -217,18 +291,25 @@ def _search(
     t: int,
     allowed: list[int],
     cfg: SolverConfig,
+    gt: Optional[list[int]] = None,
 ) -> tuple[SearchOutcome, list[int]]:
     """The depth-first search over the positions of `_layout`, with the
     prunes judged a whole position at a time on bitmasks (bit c-1 = color c).
 
     allowed[p] holds the colors the search may place at position p: `decide`
-    (under symmetry breaking) and `_proper_search` narrow position 0 to
-    color 1, and the prefix replay allows each position only its
-    certificate's color. Of cfg, only the budgets are read. Returns the
-    outcome, without a coloring, and the color bit placed at each position,
-    which is a complete assignment when the outcome is COLORABLE.
+    narrows it by the symmetry-breaking rules (`_symmetry_rules`),
+    `_proper_search` narrows position 0 to color 1, and the prefix replay
+    allows each position only its certificate's color. gt[p], when it is
+    below the number of positions, is an earlier position whose color p
+    must exceed (gt has one more entry than there are positions); without
+    gt no position has such a bound. Of cfg, only the budgets are read.
+    Returns the outcome, without a coloring, and the color bit placed at
+    each position, which is a complete assignment when the outcome is
+    COLORABLE.
     """
     n_edges = len(eu)
+    if gt is None:
+        gt = [n_edges] * (n_edges + 1)
     full = (1 << t) - 1
     window = _window_kernel(t)
     masks = [0] * len(degree)
@@ -248,7 +329,9 @@ def _search(
     # a used one t-k unused colors for the n_edges-p-1 edges after p.
     lack = [t - n_edges + p + 1 for p in range(n_edges)]
     used_before = [0] * (n_edges + 1)  # the colors placed before each position
-    placed = [0] * n_edges  # the color bit at each position
+    # The color bit at each position, and a 0 past the last one, which is
+    # the bound gt names for a position that has none.
+    placed = [0] * (n_edges + 1)
 
     budget = cfg.node_budget
     limit = math.inf if budget is None else budget + 1  # the count that stops the search
@@ -296,7 +379,8 @@ def _search(
                 saved_v[pos] = wins[v]
                 wins[v] = window(masks[v], degree[v])
             used_before[pos + 1] = used | bit
-            pos, nxt = pos + 1, 1
+            pos += 1
+            nxt = placed[gt[pos]] << 1 or 1  # above the color of gt[pos], if any
         else:  # every color at pos is cut: undo the previous position
             if pos == 0:
                 return SearchOutcome(NOT_COLORABLE, reason="exhaustive search", nodes=nodes), placed
@@ -333,6 +417,7 @@ def _certified(
 
 def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcome:
     """Exact decision by backtracking; see module docstring for the prunes."""
+    start = time.perf_counter()
     cfg = cfg or SolverConfig()
     _validate_t(t)
     if not is_connected(g):
@@ -340,23 +425,23 @@ def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcom
     n_edges = len(g.edges)
     delta = max_degree(g)
     if t < delta:
-        return SearchOutcome(
+        out = SearchOutcome(
             NOT_COLORABLE, reason=f"t={t} below max degree {delta}: properness impossible"
         )
-    if t > n_edges:
-        return SearchOutcome(
+    elif t > n_edges:
+        out = SearchOutcome(
             NOT_COLORABLE,
             reason=f"t={t} exceeds edge count {n_edges}: some color must go unused",
         )
-
-    order, eu, ev, degree = _layout(g)
-    allowed = [(1 << t) - 1] * n_edges
-    # Symmetry breaking: color rotation maps any valid coloring to one whose
-    # first edge has color 1.
-    if cfg.symmetry_breaking:
-        allowed[0] = 1
-    outcome, placed = _search(eu, ev, degree, t, allowed, cfg)
-    return _certified(g, order, t, outcome, placed, check_cyclically_interval)
+    else:
+        order, eu, ev, degree = _layout(g)
+        if cfg.symmetry_breaking:
+            allowed, gt = _symmetry_rules(g, order, degree, t)
+            outcome, placed = _search(eu, ev, degree, t, allowed, cfg, gt)
+        else:
+            outcome, placed = _search(eu, ev, degree, t, [(1 << t) - 1] * n_edges, cfg)
+        out = _certified(g, order, t, outcome, placed, check_cyclically_interval)
+    return replace(out, seconds=time.perf_counter() - start)
 
 
 def certificate_prefix_survives(g: Graph, cert: Coloring) -> bool:

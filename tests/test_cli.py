@@ -183,7 +183,11 @@ def test_spectrum_payload(tmp_path, capsys):
     assert (payload["t_min"], payload["t_max"]) == (2, 3)
     assert payload["outcomes"]["2"]["status"] == "colorable"
     assert payload["outcomes"]["3"]["status"] == "colorable"
-    assert "t=" in captured.err
+    # each t reports the seconds its decision took, in the JSON and the table
+    for t in ("2", "3"):
+        seconds = payload["outcomes"][t]["seconds"]
+        assert isinstance(seconds, float) and seconds > 0
+        assert f"t={t:>4}  colorable" in captured.err and f"{seconds:.3f} s" in captured.err
 
 
 def test_spectrum_all_not_colorable_exit(tmp_path, capsys):
@@ -216,6 +220,15 @@ def test_audit_past_the_range_cap_exits_4(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_gen_past_the_edge_cap_exits_4(capsys):
+    # gm(5000) would have 1.25 * 10^11 edges; the count is refused, not built
+    assert main(["gen", "--family", "gm", "--m", "5000"]) == EXIT_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "125000000000 edges, past the cap" in captured.err
 
 
 def test_export_cnf(tmp_path, capsys):

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from cycolor.errors import UsageError
+from cycolor import families
+from cycolor.errors import BudgetError, UsageError
 from cycolor.families import (
     gen_complete_bipartite,
     gen_cycle,
@@ -128,6 +129,35 @@ def test_generator_size_validation():
         gen_complete_bipartite(0, 3)
     with pytest.raises(UsageError, match='tree needs >= 1 vertex'):
         gen_random_tree(0, seed=1)
+
+
+def test_generators_refuse_graphs_over_the_edge_cap(monkeypatch):
+    # the edge count is judged before any list is built, so these sizes
+    # allocate nothing
+    refused = [
+        (lambda: gen_gm(5000), r"gm\(5000\) would have 125000000000 edges"),
+        (lambda: gen_path(10**12), r"path\(1000000000000\) would have 1000000000000 edges"),
+        (lambda: gen_cycle(10**12), r"cycle\(1000000000000\) would have"),
+        (lambda: gen_star(10**12), r"star\(1000000000000\) would have"),
+        (lambda: gen_complete_bipartite(10**6, 10**6), r"K\(1000000, 1000000\) would have"),
+        (lambda: gen_random_tree(10**12, seed=1), r"tree\(1000000000000\) would have"),
+    ]
+    for build, message in refused:
+        with pytest.raises(BudgetError, match=message):
+            build()
+    # the cap itself is allowed, one edge more is not
+    monkeypatch.setattr(families, "EDGE_CAP", 8)
+    for fits, past in (
+        (lambda: gen_gm(2), lambda: gen_gm(3)),
+        (lambda: gen_path(8), lambda: gen_path(9)),
+        (lambda: gen_cycle(8), lambda: gen_cycle(9)),
+        (lambda: gen_star(8), lambda: gen_star(9)),
+        (lambda: gen_complete_bipartite(2, 4), lambda: gen_complete_bipartite(3, 3)),
+        (lambda: gen_random_tree(9, seed=1), lambda: gen_random_tree(10, seed=1)),
+    ):
+        assert len(fits().edges) == 8
+        with pytest.raises(BudgetError, match=r" edges, past the cap 8$"):
+            past()
 
 
 def test_random_tree_is_deterministic_per_seed():

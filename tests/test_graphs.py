@@ -38,6 +38,23 @@ def test_build_preserves_order_and_indexes_adjacency():
     assert g.adjacency["y"] == (("x", 0), ("z", 1))
 
 
+def test_twin_classes_group_equal_open_neighbourhoods():
+    # gm(3): each grid row shares the hub and the pairs that name its row;
+    # distinct pairs see distinct rows, and the hub is alone
+    g = gen_gm(3)
+    assert [[g.vertices[i] for i in c] for c in g.twin_classes] == [
+        [f"y_{p}_{q}" for q in (1, 2, 3)] for p in (1, 2, 3)
+    ]
+    # a star's leaves, both sides of K_{2,3}, the opposite corners of C4
+    assert gen_star(3).twin_classes == ((1, 2, 3),)
+    assert gen_complete_bipartite(2, 3).twin_classes == ((0, 1), (2, 3, 4))
+    assert gen_cycle(4).twin_classes == ((0, 2), (1, 3))
+    # no twins on a longer cycle, and isolated vertices are no class
+    assert gen_cycle(5).twin_classes == ()
+    assert build_graph(["a", "b", "c", "d"], [("a", "b")]).twin_classes == ()
+    assert g.twin_classes is g.twin_classes  # computed once
+
+
 def test_build_rejects_bad_input():
     with pytest.raises(InputError, match="self-loop at 'a'"):
         build_graph(["a"], [("a", "a")])

@@ -418,11 +418,20 @@ def _cases_with_false_twins(draw):
     return g, draw(st.integers(min(delta, t_max), t_max))
 
 
+@st.composite
+def _random_tree_cases(draw):
+    """A seeded random tree on 3..9 vertices, where the leaves at each vertex
+    form a false-twin class, and a t from its max degree to its edge count."""
+    g = gen_random_tree(draw(st.integers(3, 9)), draw(st.integers(0, 39)))
+    delta = max(len(g.adjacency[v]) for v in g.vertices)
+    return g, draw(st.integers(delta, len(g.edges)))
+
+
 @settings(max_examples=100, deadline=None, database=None)
-@given(case=_cases_with_false_twins())
+@given(case=st.one_of(_cases_with_false_twins(), _random_tree_cases()))
 def test_decide_agrees_with_the_oracle_on_graphs_with_false_twins(case):
-    # False twins are the symmetry that twin-ordering rules would break; this
-    # is the oracle agreement those rules have to keep.
+    # False twins are the symmetry that the twin-ordering rule breaks; this
+    # is the oracle agreement the rules have to keep.
     g, t = case
     want = brute_force_decide(g, t).status
     assert decide(g, t).status == want, (g.edges, t)
@@ -540,7 +549,12 @@ def test_spectrum_of_random_trees_is_nonempty():
 
 def test_outcome_is_a_value_object():
     out = SearchOutcome(NOT_COLORABLE, reason="x")
-    assert out.coloring is None and out.nodes == 0
+    assert out.coloring is None and out.nodes == 0 and out.seconds == 0.0
+    # decide stamps the seconds it took, which outcomes do not compare
+    timed = decide(gen_gm(2), 7)
+    assert timed.seconds > 0
+    assert timed == dataclasses.replace(timed, seconds=timed.seconds + 1)
+    assert all(o.seconds > 0 for o in spectrum(gen_path(3)).outcomes.values())
 
 
 def test_node_counts_are_pinned():
@@ -553,7 +567,7 @@ def test_node_counts_are_pinned():
     """
     expected = [
         (gen_gm(2), {4: (COLORABLE, 8), 5: (COLORABLE, 18), 6: (COLORABLE, 38),
-                     7: (NOT_COLORABLE, 733), 8: (NOT_COLORABLE, 394)}),
+                     7: (NOT_COLORABLE, 47), 8: (NOT_COLORABLE, 33)}),
         (gen_gm(3), {9: (COLORABLE, 103), 10: (COLORABLE, 532), 11: (COLORABLE, 860),
                      12: (COLORABLE, 3573), 13: (COLORABLE, 6250)}),
     ]
@@ -576,16 +590,120 @@ def test_node_counts_are_pinned():
     assert (out.status, out.nodes) == (BUDGET_EXCEEDED, 200_001)
 
 
+def test_gm3_top_of_the_window_is_refused_exhaustively():
+    """With rotation and twin ordering, the last two t of gm(3) are refuted
+    by exhaustive search in a few hundred thousand nodes."""
+    g = gen_gm(3)
+    for t, nodes in ((26, 302_899), (27, 125_513)):
+        out = decide(g, t)
+        assert (out.status, out.reason, out.nodes) == (NOT_COLORABLE, "exhaustive search", nodes)
+
+
+def _twin_chains(g, order, gt):
+    """The ordered twin classes that gt links, each as (x, [u...]): the
+    edges (x, u) in search order, which must take increasing colors."""
+    n = len(order)
+    succ = {gt[p]: p for p in range(n) if gt[p] < n}
+    chains = []
+    for head in succ:
+        if gt[head] < n:
+            continue
+        chain = [head]
+        while chain[-1] in succ:
+            chain.append(succ[chain[-1]])
+        common = set.intersection(*(set(g.edges[order[p]]) for p in chain))
+        assert len(common) == 1, ("linked edges with no one common vertex", chain)
+        (x,) = common
+        chains.append((x, [next(w for w in g.edges[order[p]] if w != x) for p in chain]))
+    return chains
+
+
+def _rule_image(g, cert, order, allowed, chains):
+    """The image of a valid coloring that the rules keep: rotated so that
+    the root's palette is [1, Δ] (Δ < t) or the position that rule (c)
+    gives color 1 has it (Δ = t), then each ordered class permuted so that
+    its edges at x carry increasing colors in search order."""
+    t, colors = cert.t, list(cert.colors)
+    delta = max(len(g.adjacency[v]) for v in g.vertices)
+    h = next(v for v in g.vertices if len(g.adjacency[v]) == delta)
+    if delta < t:
+        palette = {colors[e] for _, e in g.adjacency[h]}
+        first = next(c for c in palette if (c - 2) % t + 1 not in palette)
+    else:
+        first = colors[order[allowed.index(1)]]
+    colors = [(c - first) % t + 1 for c in colors]
+    index = {frozenset(e): i for i, e in enumerate(g.edges)}
+    for x, us in chains:
+        ranked = sorted(us, key=lambda u: colors[index[frozenset((x, u))]])
+        move = dict(zip(ranked, us))  # the i-th smallest color moves to the i-th edge
+        image = [0] * len(colors)
+        for i, (a, b) in enumerate(g.edges):
+            image[index[frozenset((move.get(a, a), move.get(b, b)))]] = colors[i]
+        colors = image
+    return Coloring(t, tuple(colors))
+
+
+def test_every_valid_coloring_has_an_image_that_the_rules_keep():
+    """The soundness of symmetry breaking: every valid coloring, rotated and
+    then sorted within each ordered twin class, is a valid coloring that
+    satisfies every rule, so the search cuts no answer away."""
+    # {a1, a2}'s first common neighbour b2 lies in the class {b1, b2}, whose
+    # first common neighbour a1 lies in {a1, a2}: sorting either class moves
+    # the other's edges, so neither is ordered, and only h's leaves are.
+    crossed = build_graph(
+        ["h", "b2", "a1", "a2", "b1", "z", "l1", "l2"],
+        [("h", "z"), ("h", "l1"), ("h", "l2"), ("z", "a1"), ("z", "a2"),
+         ("a1", "b1"), ("a1", "b2"), ("a2", "b1"), ("a2", "b2")],
+    )  # fmt: skip
+    # The root h has a twin, h2; their class is left alone, so the root's
+    # palette stays where rule (a) rotated it, and {b, c} is ordered at h.
+    twin_root = build_graph(
+        ["h", "h2", "a", "b", "c", "l"],
+        [("h", "a"), ("h", "b"), ("h", "c"), ("h2", "a"), ("h2", "b"), ("h2", "c"), ("a", "l")],
+    )
+    # Each graph at every t from its max degree on at which it has a valid
+    # coloring and its colorings are quick to list.
+    cases = [
+        (gen_star(3), (3,)), (gen_path(3), (2, 3)), (gen_cycle(4), (2, 3, 4)),
+        (gen_complete_bipartite(2, 3), (3, 4, 5)), (gen_gm(2), (4, 5)), (crossed, (3, 4)),
+        (twin_root, (3, 4, 5)),
+        *((gen_random_tree(n, seed), range(1, n)) for n in (4, 5, 6) for seed in range(6)),
+    ]  # fmt: skip
+    ordered = seen = 0
+    for g, ts in cases:
+        order, _, _, degree = solver._layout(g)
+        for t in (t for t in ts if t >= max(degree)):
+            allowed, gt = solver._symmetry_rules(g, order, degree, t)
+            chains = _twin_chains(g, order, gt)
+            for x, us in chains:
+                assert len({frozenset(w for w, _ in g.adjacency[u]) for u in us}) == 1
+                assert all(x in {w for w, _ in g.adjacency[u]} for u in us)
+            if g is crossed:
+                assert [(x, set(us)) for x, us in chains] == [("h", {"l1", "l2"})]
+            if g is twin_root:
+                assert [(x, set(us)) for x, us in chains] == [("h", {"b", "c"})]
+            ordered += bool(chains)
+            for cert in _all_valid_colorings(g, t):
+                image = _rule_image(g, cert, order, allowed, chains)
+                assert check_cyclically_interval(g, image).ok
+                color = [image.colors[e] for e in order]
+                for p, c in enumerate(color):
+                    assert allowed[p] >> (c - 1) & 1, (g.edges, t, cert, p)
+                    assert gt[p] == len(order) or c > color[gt[p]], (g.edges, t, cert, p)
+                seen += 1
+    assert ordered and seen > 1000
+
+
 def test_bulk_node_counts_stop_at_the_budget_boundary():
     """A position's nodes are counted at once; the node budget still stops
     the search at exactly budget + 1, and a budget the search stays within
-    changes nothing. gm(2) at t=7 is not colorable in 733 nodes."""
-    for budget in (1, 2, 3, 732):
+    changes nothing. gm(2) at t=7 is not colorable in 47 nodes."""
+    for budget in (1, 2, 3, 46):
         out = decide(gen_gm(2), 7, SolverConfig(node_budget=budget))
         assert (out.status, out.nodes) == (BUDGET_EXCEEDED, budget + 1), budget
-    for budget in (733, 1024, 1025):
+    for budget in (47, 1024, 1025):
         out = decide(gen_gm(2), 7, SolverConfig(node_budget=budget))
-        assert (out.status, out.nodes) == (NOT_COLORABLE, 733), budget
+        assert (out.status, out.nodes) == (NOT_COLORABLE, 47), budget
 
 
 def test_gm4_low_end_is_colorable_within_a_small_budget():
