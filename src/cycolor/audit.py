@@ -258,8 +258,6 @@ def audit(params: AuditParams) -> AuditReport:
 class RangeEntry:
     m: int
     k0_hi: int
-    passed_lo: bool
-    passed_hi: bool
     passed: bool
     failing_step: Optional[str]
     exhaustive_checked: bool
@@ -312,8 +310,6 @@ def audit_range(m_lo: int, m_hi: int) -> RangeSummary:
             RangeEntry(
                 m=m,
                 k0_hi=k0_hi,
-                passed_lo=rep_lo.passed,
-                passed_hi=rep_hi.passed,
                 passed=passed,
                 failing_step=rep_lo.failing_step if not passed else None,
                 exhaustive_checked=exhaustive,

@@ -35,7 +35,7 @@ from itertools import chain, combinations, repeat
 from operator import add
 
 from .coloring import Coloring, check_cyclically_interval
-from .errors import BudgetError, InputError, UsageError
+from .errors import BudgetError, InputError, require_positive_int
 from .graphs import Graph, is_connected
 from .intervals import arc_masks
 
@@ -144,8 +144,7 @@ def _clause_count(g: Graph, t: int) -> int:
 
 
 def encode(g: Graph, t: int) -> CnfEncoding:
-    if not isinstance(t, int) or isinstance(t, bool) or t < 1:
-        raise UsageError(f"t must be a positive integer, got {t!r}")
+    require_positive_int("t", t)
     if not is_connected(g):
         raise InputError("CNF export accepts connected graphs only")
     n_clauses = _clause_count(g, t)

@@ -10,6 +10,7 @@ turns each into one exit code:
     InternalError  exit 3  a self-check failed ("internal error"): a bug
 
 `CycolorError` is their common base; it is never raised directly.
+`require_positive_int` is the one check of a count parameter.
 """
 
 
@@ -32,3 +33,9 @@ class BudgetError(CycolorError):
 
 class InternalError(CycolorError):
     """A self-check failed: the package contradicted itself."""
+
+
+def require_positive_int(name: str, value) -> None:
+    """Raise a UsageError unless `value` is an int of at least 1 (a bool is not)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise UsageError(f"{name} must be a positive integer, got {value!r}")

@@ -11,10 +11,10 @@ search over edge assignments with three sound prunes:
   (iii) the number of still-unassigned edges must cover the number of
         still-unused colors (surjectivity).
 
-Edges are placed in one connected depth-first order (`_edge_positions`),
-from the first vertex of maximum degree: its edges come first, and every
-later edge shares a vertex with an earlier one, so prunes (i) and (ii)
-judge each palette from its first edge on.
+Every search reads one plan of the graph (`_plan`). It places edges in a
+connected depth-first order from the first vertex of maximum degree: its
+edges come first, and every later edge shares a vertex with an earlier
+one, so prunes (i) and (ii) judge each palette from its first edge on.
 
 Symmetry breaking (`_symmetry_rules`) keeps one image of each valid
 coloring under color rotation and the permutations of false twins
@@ -23,7 +23,8 @@ lex-leader style of Crawford, Ginsberg, Luks and Roy (KR 1996): for
 t > Δ the root's Δ edges take colors in [1, Δ], at t = Δ one of them
 takes color 1, and the edges from one common neighbour to a twin class
 take increasing colors in search order. A position may then take only
-the colors in allowed[p], and only those above the color at gt[p].
+the colors in allowed[p], and only those above the color at gt[p]; the
+plan holds gt, which does not depend on t.
 
 The search is iterative: an explicit stack holds the color placed at each
 edge position, over integer vertex ids and bitmask palettes, so the depth
@@ -86,7 +87,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .coloring import Coloring, check_cyclically_interval, check_proper
-from .errors import BudgetError, InputError, InternalError, UsageError
+from .errors import BudgetError, InputError, InternalError, UsageError, require_positive_int
 from .graphs import Bipartition, Graph, bipartition, is_connected, max_degree, require_match
 from .intervals import ColorSet, arc_masks, cyclic_span
 
@@ -110,11 +111,14 @@ class SolverConfig:
     time_budget: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.node_budget is not None and self.node_budget < 1:
-            raise UsageError(f"node_budget must be positive, got {self.node_budget}")
+        if self.node_budget is not None:
+            require_positive_int("node_budget", self.node_budget)
+        seconds = self.time_budget
         # `not > 0` also refuses NaN, a deadline that never fires
-        if self.time_budget is not None and not self.time_budget > 0:
-            raise UsageError(f"time_budget must be positive, got {self.time_budget}")
+        if seconds is not None and (
+            not isinstance(seconds, (int, float)) or isinstance(seconds, bool) or not seconds > 0
+        ):
+            raise UsageError(f"time_budget must be a positive number, got {seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -133,42 +137,6 @@ class SpectrumResult:
     t_min: int
     t_max: int
     outcomes: dict[int, SearchOutcome] = field(default_factory=dict)
-
-
-def _validate_t(t) -> None:
-    if not isinstance(t, int) or isinstance(t, bool) or t < 1:
-        raise UsageError(f"t must be a positive integer, got {t!r}")
-
-
-def _edge_positions(g: Graph) -> list[int]:
-    """The search order: edges in connected depth-first order.
-
-    The root is the first vertex of maximum degree. A stack of vertices
-    starts with the root; popping u appends u's edges not yet placed,
-    sorted by (neighbour degree descending, edge index), and pushes each
-    neighbour reached for the first time in that order, so the last one
-    pushed is expanded next. The root's edges lead, and on a connected
-    graph every later edge shares a vertex with an earlier one, so prunes
-    (i) and (ii) see each palette from its first edge on.
-    """
-    if not g.vertices:
-        return []
-    deg = {v: len(g.adjacency[v]) for v in g.vertices}
-    root = max(g.vertices, key=deg.__getitem__)  # first of maximum degree
-    order: list[int] = []
-    placed = [False] * len(g.edges)
-    seen = {root}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for w, e in sorted(g.adjacency[u], key=lambda we: (-deg[we[0]], we[1])):
-            if not placed[e]:
-                placed[e] = True
-                order.append(e)
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return order
 
 
 def _window_kernel(t: int) -> Callable[[int, int], int]:
@@ -224,76 +192,115 @@ def _window_kernel(t: int) -> Callable[[int, int], int]:
     return window
 
 
-def _layout(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
-    """The edge order with integer vertex ids: position p places edge
-    order[p], whose endpoints are eu[p] and ev[p]; degree is per vertex id."""
-    order = _edge_positions(g)
-    vid = {v: i for i, v in enumerate(g.vertices)}
-    eu = [vid[g.edges[e][0]] for e in order]
-    ev = [vid[g.edges[e][1]] for e in order]
-    return order, eu, ev, [len(g.adjacency[v]) for v in g.vertices]
+@dataclass(frozen=True)
+class _Plan:
+    """What every search reads of one graph; built once by `_plan`."""
+
+    order: tuple[int, ...]
+    eu: tuple[int, ...]
+    ev: tuple[int, ...]
+    degree: tuple[int, ...]
+    gt: tuple[int, ...]
+    head: int
 
 
-def _symmetry_rules(
-    g: Graph, order: list[int], degree: list[int], t: int
-) -> tuple[list[int], list[int]]:
-    """The `allowed` and `gt` of `_search` under symmetry breaking, for t
-    from the max degree Δ to |E| on a connected graph.
+def _plan(g: Graph) -> _Plan:
+    """The search order, with vertex ids and the parts of the symmetry rules
+    that do not depend on t: position p places edge order[p], whose
+    endpoints have vertex ids eu[p] and ev[p], and degree is per vertex id.
 
-    h is the root of `order`, the first vertex of degree Δ, whose Δ edges
-    lead. Color rotation and permutations of a false-twin class map valid
-    colorings to valid colorings, so the search may keep one image of each:
-      (a) if Δ < t, h's palette, an arc of Δ colors, is rotated to [1, Δ]:
-          the first Δ positions take colors <= Δ;
-      (b) the edges from a common neighbour x to a twin class take strictly
-          increasing colors in search order, where x is h if h is a common
-          neighbour, else the first one in vertex order. A class holding h
-          is left alone, and so is one whose x lies in another such class,
-          since sorting that class would move x's edges;
-      (c) if Δ = t, rotation is still free: the first edge of a twin class
-          at h, or position 0 when h has no ordered class, takes color 1.
-    The image is reached by a rotation followed by sorting each ordered
-    class, which changes neither h's palette nor another ordered class.
+    The order is connected depth-first. Its root h is the first vertex of
+    maximum degree. A stack of vertices starts with h; popping u appends
+    u's edges not yet placed, sorted by (neighbour degree descending, edge
+    index), and pushes each neighbour reached for the first time in that
+    order, so the last one pushed is expanded next. h's edges lead, and on
+    a connected graph every later edge shares a vertex with an earlier one,
+    so prunes (i) and (ii) see each palette from its first edge on.
+
+    Rule (b) of `_symmetry_rules` orders a false-twin class at a common
+    neighbour x: h if h is one, else the first in vertex order. A class
+    holding h is left alone, and so is one whose x lies in another such
+    class, since sorting that class would move x's edges. gt[p] is the
+    position before p on its class's edges at x, or the number of
+    positions; head is the first such edge at h, or position 0.
     """
-    n_edges = len(order)
-    delta = max(degree)
-    h = degree.index(delta)
+    n_edges = len(g.edges)
+    if not g.vertices:
+        return _Plan(order=(), eu=(), ev=(), degree=(), gt=(0,), head=0)
     vid = {v: i for i, v in enumerate(g.vertices)}
+    degree = tuple(len(g.adjacency[v]) for v in g.vertices)
+    nbrs = [
+        sorted(((vid[w], e) for w, e in g.adjacency[v]), key=lambda we: (-degree[we[0]], we[1]))
+        for v in g.vertices
+    ]
+    h = degree.index(max(degree))
+    order: list[int] = []
+    placed = [False] * n_edges
+    seen = {h}
+    stack = [h]
+    while stack:
+        for w, e in nbrs[stack.pop()]:
+            if not placed[e]:
+                placed[e] = True
+                order.append(e)
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
     position = {e: p for p, e in enumerate(order)}
     classes = [c for c in g.twin_classes if h not in c]
     in_classes = {u for c in classes for u in c}
     gt = [n_edges] * (n_edges + 1)
     firsts_at_h = []
     for c in classes:
-        common = {vid[w] for w, _ in g.adjacency[g.vertices[c[0]]]}
+        common = {w for w, _ in nbrs[c[0]]}
         x = h if h in common else min(common)
         if x in in_classes:
             continue
-        chain = sorted(
-            position[e] for u in c for w, e in g.adjacency[g.vertices[u]] if vid[w] == x
-        )
+        chain = sorted(position[e] for u in c for w, e in nbrs[u] if w == x)
         for a, b in zip(chain, chain[1:]):
             gt[b] = a
         if x == h:
             firsts_at_h.append(chain[0])
+    eu = tuple(vid[g.edges[e][0]] for e in order)
+    ev = tuple(vid[g.edges[e][1]] for e in order)
+    return _Plan(tuple(order), eu, ev, degree, tuple(gt), min(firsts_at_h, default=0))
+
+
+def _symmetry_rules(plan: _Plan, t: int) -> list[int]:
+    """The `allowed` of `_search` under symmetry breaking, for t from the
+    max degree Δ to |E| on a connected graph; its `gt` is plan.gt.
+
+    h is the root of the plan's order, the first vertex of degree Δ, whose
+    Δ edges lead. Color rotation and permutations of a false-twin class map
+    valid colorings to valid colorings, so the search may keep one image of
+    each:
+      (a) if Δ < t, h's palette, an arc of Δ colors, is rotated to [1, Δ]:
+          the first Δ positions take colors <= Δ;
+      (b) the edges from a common neighbour x to a twin class take strictly
+          increasing colors in search order (`_plan` picks the classes);
+      (c) if Δ = t, rotation is still free: the first edge of a twin class
+          at h, or position 0 when h has no ordered class, takes color 1.
+    The image is reached by a rotation followed by sorting each ordered
+    class, which changes neither h's palette nor another ordered class.
+    """
+    n_edges = len(plan.order)
+    delta = max(plan.degree)
     allowed = [(1 << t) - 1] * n_edges
     if delta < t:
         allowed[:delta] = [(1 << delta) - 1] * delta
     else:
-        allowed[min(firsts_at_h, default=0)] = 1
-    return allowed, gt
+        allowed[plan.head] = 1
+    return allowed
 
 
 def _search(
-    eu: list[int],
-    ev: list[int],
-    degree: list[int],
+    plan: _Plan,
     t: int,
     allowed: list[int],
     cfg: SolverConfig,
-    gt: Optional[list[int]] = None,
+    gt: Optional[tuple[int, ...]] = None,
 ) -> tuple[SearchOutcome, list[int]]:
-    """The depth-first search over the positions of `_layout`, with the
+    """The depth-first search over the positions of a `_plan`, with the
     prunes judged a whole position at a time on bitmasks (bit c-1 = color c).
 
     allowed[p] holds the colors the search may place at position p: `decide`
@@ -301,12 +308,13 @@ def _search(
     `_proper_search` narrows position 0 to color 1, and the prefix replay
     allows each position only its certificate's color. gt[p], when it is
     below the number of positions, is an earlier position whose color p
-    must exceed (gt has one more entry than there are positions); without
-    gt no position has such a bound. Of cfg, only the budgets are read.
-    Returns the outcome, without a coloring, and the color bit placed at
-    each position, which is a complete assignment when the outcome is
-    COLORABLE.
+    must exceed (gt has one more entry than there are positions); `decide`
+    passes plan.gt under symmetry breaking, and without gt no position has
+    such a bound. Of cfg, only the budgets are read. Returns the outcome,
+    without a coloring, and the color bit placed at each position, which is
+    a complete assignment when the outcome is COLORABLE.
     """
+    eu, ev, degree = plan.eu, plan.ev, plan.degree
     n_edges = len(eu)
     if gt is None:
         gt = [n_edges] * (n_edges + 1)
@@ -318,6 +326,7 @@ def _search(
     # nothing reads it after the vertex's last edge, so grow_u[p] says
     # whether placing at p narrows eu[p]'s window.
     wins = [full] * len(degree)
+    # Kept out of the plan: CPython 3.11 must quicken _search here, not mid main loop (1.5x slower).
     last = {}
     for p in range(n_edges):
         last[eu[p]] = last[ev[p]] = p
@@ -419,7 +428,7 @@ def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcom
     """Exact decision by backtracking; see module docstring for the prunes."""
     start = time.perf_counter()
     cfg = cfg or SolverConfig()
-    _validate_t(t)
+    require_positive_int("t", t)
     if not is_connected(g):
         raise InputError("decide accepts connected graphs only")
     n_edges = len(g.edges)
@@ -434,13 +443,12 @@ def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcom
             reason=f"t={t} exceeds edge count {n_edges}: some color must go unused",
         )
     else:
-        order, eu, ev, degree = _layout(g)
+        plan = _plan(g)
         if cfg.symmetry_breaking:
-            allowed, gt = _symmetry_rules(g, order, degree, t)
-            outcome, placed = _search(eu, ev, degree, t, allowed, cfg, gt)
+            outcome, placed = _search(plan, t, _symmetry_rules(plan, t), cfg, plan.gt)
         else:
-            outcome, placed = _search(eu, ev, degree, t, [(1 << t) - 1] * n_edges, cfg)
-        out = _certified(g, order, t, outcome, placed, check_cyclically_interval)
+            outcome, placed = _search(plan, t, [(1 << t) - 1] * n_edges, cfg)
+        out = _certified(g, plan.order, t, outcome, placed, check_cyclically_interval)
     return replace(out, seconds=time.perf_counter() - start)
 
 
@@ -458,9 +466,9 @@ def certificate_prefix_survives(g: Graph, cert: Coloring) -> bool:
     if not is_connected(g):  # the edge order covers one component only
         raise InputError("certificate_prefix_survives accepts connected graphs only")
     require_match(g, cert)
-    order, eu, ev, degree = _layout(g)
-    allowed = [1 << (cert.colors[e] - 1) for e in order]
-    outcome, _ = _search(eu, ev, degree, cert.t, allowed, SolverConfig())
+    plan = _plan(g)
+    allowed = [1 << (cert.colors[e] - 1) for e in plan.order]
+    outcome, _ = _search(plan, cert.t, allowed, SolverConfig())
     return outcome.status == COLORABLE
 
 
@@ -574,7 +582,7 @@ def _literal_sweep(g: Graph, t: int, count_all: bool) -> tuple[int, Optional[Col
 
 
 def _sweep(g: Graph, t: int, method: str, count_all: bool) -> tuple[int, Optional[Coloring]]:
-    _validate_t(t)
+    require_positive_int("t", t)
     if not is_connected(g):
         raise InputError("brute force accepts connected graphs only")
     if method not in ("literal", "vector"):
@@ -624,11 +632,12 @@ def _proper_search(g: Graph) -> SearchOutcome:
     by `check_proper`.
     """
     delta = max_degree(g)
-    order, eu, ev, degree = _layout(g)
-    allowed = [(1 << delta) - 1] * len(order)
+    plan = _plan(g)
+    allowed = [(1 << delta) - 1] * len(plan.order)
     allowed[0] = 1  # color rotation: the first edge may as well take color 1
-    outcome, placed = _search(eu, ev, [delta] * len(degree), delta, allowed, SolverConfig())
-    return _certified(g, order, delta, outcome, placed, check_proper)
+    saturated = replace(plan, degree=(delta,) * len(plan.degree))
+    outcome, placed = _search(saturated, delta, allowed, SolverConfig())
+    return _certified(g, plan.order, delta, outcome, placed, check_proper)
 
 
 def chromatic_index(g: Graph) -> int:
@@ -670,12 +679,14 @@ def spectrum(
     the chromatic index it finds no proper coloring. Ranges outside the
     window are clamped with a warning; a range left empty is a UsageError.
     Each t is decided independently; jobs > 1 fans them out to at most
-    min(jobs, number of t, CPU count) worker processes, and jobs < 1 is a
-    UsageError.
+    min(jobs, number of t, CPU count) worker processes. t_min, t_max and
+    jobs other than a positive integer are a UsageError.
     """
     cfg = cfg or SolverConfig()
-    if jobs < 1:
-        raise UsageError(f"jobs must be positive, got {jobs}")
+    require_positive_int("jobs", jobs)
+    for name, value in (("t_min", t_min), ("t_max", t_max)):
+        if value is not None:
+            require_positive_int(name, value)
     try:
         lo_bound = chromatic_index(g)
     except BudgetError:

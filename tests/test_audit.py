@@ -155,7 +155,7 @@ def test_audit_range_over_the_boundary():
         else:
             assert entry.passed
             assert entry.failing_step is None
-            assert entry.passed_lo and entry.passed_hi
+            assert entry.report_lo.passed and entry.report_hi.passed
 
 
 def test_audit_range_exhaustive_at_m8():

@@ -74,10 +74,21 @@ def test_decide_validates_inputs():
         count_colorings(g, 2, method="nope")
     with pytest.raises(UsageError, match="unknown method 'auto'"):
         brute_force_decide(g, 2, method="auto")
-    with pytest.raises(UsageError, match='node_budget must be positive'):
-        SolverConfig(node_budget=0)
-    with pytest.raises(UsageError, match='time_budget must be positive, got nan'):
-        SolverConfig(time_budget=float("nan"))
+    # every count parameter is a positive int, checked by one rule
+    for bad in (0, 2.5, True, "3"):
+        with pytest.raises(UsageError, match=f"node_budget must be a positive integer, got {bad!r}"):
+            SolverConfig(node_budget=bad)
+        with pytest.raises(UsageError, match=f"jobs must be a positive integer, got {bad!r}"):
+            spectrum(g, jobs=bad)
+        for name in ("t_min", "t_max"):
+            with pytest.raises(UsageError, match=f"{name} must be a positive integer, got {bad!r}"):
+                spectrum(g, **{name: bad})
+    with pytest.raises(UsageError, match="t must be a positive integer, got 2.5"):
+        decide(g, 2.5)
+    for bad in (0, -1, float("nan"), "1", True):
+        with pytest.raises(UsageError, match=f"time_budget must be a positive number, got {bad!r}"):
+            SolverConfig(time_budget=bad)
+    assert SolverConfig(time_budget=1).time_budget == 1
 
 
 def test_the_search_options_are_pinned():
@@ -87,6 +98,11 @@ def test_the_search_options_are_pinned():
         "node_budget",
         "time_budget",
     ]
+    # the search plan is built inside; no entry point takes one
+    assert list(inspect.signature(decide).parameters) == ["g", "t", "cfg"]
+    assert list(inspect.signature(spectrum).parameters) == [
+        "g", "t_min", "t_max", "cfg", "jobs", "graph_id",
+    ]  # fmt: skip
     assert list(inspect.signature(chromatic_index).parameters) == ["g"]
     assert list(inspect.signature(certificate_prefix_survives).parameters) == ["g", "cert"]
     for oracle in (brute_force_decide, count_colorings):
@@ -195,7 +211,7 @@ def test_prunes_never_cut_a_valid_certificate_prefix():
         # a different order in every case.
         rev = build_graph(g.vertices[::-1], g.edges[::-1])
         m = len(g.edges)
-        assert [m - 1 - e for e in solver._edge_positions(rev)] != solver._edge_positions(g)
+        assert tuple(m - 1 - e for e in solver._plan(rev).order) != solver._plan(g).order
         # replay every oracle-validated coloring, not just the solver's own
         seen = 0
         for cert in _all_valid_colorings(g, t):
@@ -442,9 +458,9 @@ def test_decide_agrees_with_the_oracle_on_graphs_with_false_twins(case):
 @given(case=_small_cases())
 def test_edge_order_is_connected_depth_first_from_a_max_degree_root(case):
     g, _ = case
-    order = solver._edge_positions(g)
+    order = solver._plan(g).order
     assert sorted(order) == list(range(len(g.edges)))
-    assert solver._edge_positions(g) == order
+    assert solver._plan(g).order == order
     delta = max(len(g.adjacency[v]) for v in g.vertices)
     root = next(i for i, v in enumerate(g.vertices) if len(g.adjacency[v]) == delta)
     assert set(order[:delta]) == set(g.incidence[root])
@@ -582,6 +598,25 @@ def test_node_counts_are_pinned():
                                7: (NOT_COLORABLE, 5131), 8: (NOT_COLORABLE, 3152)}.items():
         out = decide(gen_gm(2), t, unbroken)
         assert (out.status, out.nodes) == (status, nodes), t
+    # a tree whose twin class (11, 17) is chained in the plan, at 10k nodes
+    tree = gen_random_tree(20, 1)
+    assert any(p < len(tree.edges) for p in solver._plan(tree).gt)
+    found = dict(zip(range(4, 14), (21, 27, 43, 33, 259, 135, 214, 2116, 3613, 2483)))
+    found_unbroken = {**found, **dict(zip(range(8, 14), (435, 210, 290, 3508, 5323, 3077)))}
+    over = (BUDGET_EXCEEDED, 10_001)
+    for sym, found_at, refuted in (
+        (True, found, {18: 5136, 19: 1420}),
+        (False, found_unbroken, {}),
+    ):
+        cfg = SolverConfig(symmetry_breaking=sym, node_budget=10_000)
+        for t in range(4, 20):
+            want = (
+                (COLORABLE, found_at[t]) if t in found_at
+                else (NOT_COLORABLE, refuted[t]) if t in refuted
+                else over
+            )  # fmt: skip
+            out = decide(tree, t, cfg)
+            assert (out.status, out.nodes) == want, (sym, t)
     # the chromatic-index search: an odd cycle has no proper 2-coloring
     for n, nodes in ((5, 4), (7, 6), (9, 8)):
         out = solver._proper_search(gen_cycle(n))
@@ -671,9 +706,10 @@ def test_every_valid_coloring_has_an_image_that_the_rules_keep():
     ]  # fmt: skip
     ordered = seen = 0
     for g, ts in cases:
-        order, _, _, degree = solver._layout(g)
-        for t in (t for t in ts if t >= max(degree)):
-            allowed, gt = solver._symmetry_rules(g, order, degree, t)
+        plan = solver._plan(g)
+        order, gt = plan.order, plan.gt
+        for t in (t for t in ts if t >= max(plan.degree)):
+            allowed = solver._symmetry_rules(plan, t)
             chains = _twin_chains(g, order, gt)
             for x, us in chains:
                 assert len({frozenset(w for w, _ in g.adjacency[u]) for u in us}) == 1
@@ -720,7 +756,7 @@ def test_edgeless_graphs_have_nothing_to_search():
     """An edgeless graph has an empty edge order, so the replay has no
     prefix to cut, and no color can be used, so every t is refused."""
     for g in (build_graph([], []), build_graph(["a"], [])):
-        assert solver._edge_positions(g) == []
+        assert solver._plan(g).order == ()
         assert certificate_prefix_survives(g, Coloring(1, ()))
         out = decide(g, 1)
         assert out.status == NOT_COLORABLE and "edge count" in out.reason
