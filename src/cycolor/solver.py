@@ -71,6 +71,11 @@ Its arcs are those tables, not `cyclic_span`, so it shares none of
 refused. The literal route judges each assignment with the checker; the
 tests use it as the reference for the vector sweep, with blocks as small as
 a few assignments.
+
+Two imports are deferred to the routes that use them: numpy loads on the
+first vector sweep, and the process pool when `spectrum` fans out to more
+than one worker. Importing the package loads neither, and no CLI command
+but `spectrum --jobs` above 1 loads either.
 """
 
 from __future__ import annotations
@@ -80,11 +85,8 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
-
-import numpy as np
 
 from .coloring import Coloring, check_cyclically_interval, check_proper
 from .errors import BudgetError, InputError, InternalError, UsageError, require_positive_int
@@ -111,6 +113,9 @@ class SolverConfig:
     time_budget: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # tested only for truth, so "false" would search with the rules on
+        if not isinstance(self.symmetry_breaking, bool):
+            raise UsageError(f"symmetry_breaking must be a bool, got {self.symmetry_breaking!r}")
         if self.node_budget is not None:
             require_positive_int("node_budget", self.node_budget)
         seconds = self.time_budget
@@ -502,6 +507,8 @@ def _vector_sweep(
     Returns (count, first certificate). With count_all False, stops at the
     first valid assignment.
     """
+    import numpy as np  # deferred: ~150 ms and ~14 MB, and only the oracle needs it
+
     n_edges = len(g.edges)
     if t > _MAX_VECTOR_T:
         raise BudgetError(
@@ -711,6 +718,8 @@ def spectrum(
     # the pool forks all its workers up front, so start no more than can run
     workers = min(jobs, len(ts), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # deferred: ~30 ms of multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outs = list(pool.map(decide, *tasks))
     else:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -379,3 +381,48 @@ def test_module_runs_as_a_script():
     )
     assert proc.returncode == 0
     assert graphs.from_json(proc.stdout) == gen_path(2)
+
+
+# Runs in a fresh interpreter: the package and these commands leave numpy and
+# the process pool unloaded, and the oracle still loads numpy when it runs.
+_COLD_START = """
+import os, sys
+import cycolor, cycolor.cli
+from cycolor.cli import main
+
+heavy = ("numpy", "concurrent.futures.process", "multiprocessing")
+
+os.chdir(sys.argv[1])
+runs = [
+    (["gen", "--family", "gm", "--m", "2", "--out", "g.json"], 0),
+    (["solve", "--graph", "g.json", "--t", "4", "--out", "c.json"], 0),
+    (["check", "--graph", "g.json", "--coloring", "c.json", "--out", "v.json"], 0),
+    (["spectrum", "--graph", "g.json", "--jobs", "1", "--out", "s.json"], 0),
+    (["export-cnf", "--graph", "g.json", "--t", "4", "--out", "g.cnf"], 0),
+    (["export-dot", "--graph", "g.json", "--coloring", "c.json", "--out", "g.dot"], 0),
+    # the argument's bounds do not hold at m = 2: a verdict, exit 1
+    (["audit", "--m-min", "2", "--m-max", "2", "--out", "a.json"], 1),
+]
+for argv, code in runs:
+    assert main(argv) == code, argv
+    loaded = [m for m in heavy if m in sys.modules]
+    assert not loaded, (argv, loaded)
+
+from cycolor.families import gen_gm
+from cycolor.solver import count_colorings
+
+assert count_colorings(gen_gm(2), 4) == 96
+assert "numpy" in sys.modules
+"""
+
+
+def test_cold_start_loads_no_numpy_or_pool(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import inspect
 from unittest import mock
@@ -89,6 +90,9 @@ def test_decide_validates_inputs():
         with pytest.raises(UsageError, match=f"time_budget must be a positive number, got {bad!r}"):
             SolverConfig(time_budget=bad)
     assert SolverConfig(time_budget=1).time_budget == 1
+    for bad in ("false", 0, None):
+        with pytest.raises(UsageError, match=f"symmetry_breaking must be a bool, got {bad!r}"):
+            SolverConfig(symmetry_breaking=bad)
 
 
 def test_the_search_options_are_pinned():
@@ -545,7 +549,7 @@ def test_spectrum_pool_is_capped_by_window_and_cpus(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     g = gen_gm(2)  # a 5-t window, 4..8
     serial = {t: o.status for t, o in spectrum(g).outcomes.items()}
     for cpus, want in ((64, [5]), (3, [3]), (1, []), (None, [])):
