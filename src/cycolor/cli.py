@@ -30,6 +30,7 @@ import json
 import os
 import stat
 import sys
+import warnings
 from typing import Callable, Collection, Optional, TypeVar
 
 from . import cnf as cnf_mod
@@ -151,14 +152,21 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = solver.SolverConfig(
         node_budget=args.budget_nodes, time_budget=args.budget_seconds
     )
-    result = solver.spectrum(
-        g,
-        t_min=args.t_min,
-        t_max=args.t_max,
-        cfg=cfg,
-        jobs=args.jobs,
-        graph_id=args.graph_id or args.graph,
-    )
+    # a clamped range is one plain stderr line, not Python's warning format
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = solver.spectrum(
+                g,
+                t_min=args.t_min,
+                t_max=args.t_max,
+                cfg=cfg,
+                jobs=args.jobs,
+                graph_id=args.graph_id or args.graph,
+            )
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
     payload = {
         "graph_id": result.graph_id,
         "t_min": result.t_min,

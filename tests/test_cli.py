@@ -192,6 +192,24 @@ def test_spectrum_payload(tmp_path, capsys):
         assert f"t={t:>4}  colorable" in captured.err and f"{seconds:.3f} s" in captured.err
 
 
+def test_spectrum_clamped_range_warns_in_one_plain_line(tmp_path, capsys):
+    gp = _write_graph(tmp_path, gen_path(3))
+    assert main(["spectrum", "--graph", gp, "--t-min", "1", "--t-max", "99"]) == EXIT_OK
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert (payload["t_min"], payload["t_max"]) == (2, 3)
+    warned = [line for line in captured.err.splitlines() if "clamped" in line]
+    assert warned == [
+        "warning: spectrum range [1, 99] clamped to [2, 3] (meaningful window is [2, 3])"
+    ]
+    assert "UserWarning" not in captured.err and "cli.py" not in captured.err
+    # a range left empty once clamped still warns before the usage error
+    assert main(["spectrum", "--graph", gp, "--t-min", "20", "--t-max", "99"]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("warning: spectrum range [20, 99] clamped to [20, 3]")
+    assert err[1].startswith("error: spectrum range [20, 3] is empty")
+
+
 def test_spectrum_all_not_colorable_exit(tmp_path, capsys):
     # pin the window to the 5-cycle's single not-colorable point
     gp = _write_graph(tmp_path, gen_cycle(5))

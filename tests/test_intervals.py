@@ -11,10 +11,12 @@ from cycolor.intervals import (
     ColorSet,
     CyclicIntervalSpec,
     arc_masks,
+    arc_window,
     cyclic_span,
     intcyc,
     intcyc_contains,
     is_cyclic_interval,
+    mask_colors,
     union_of_chained_arcs,
 )
 
@@ -206,6 +208,19 @@ def test_span_bounds_and_arc_equality():
         assert (cyclic_span(q) == len(q)) == is_cyclic_interval(q)
 
 
+def test_arc_window_is_the_colors_that_keep_a_covering_arc_of_d():
+    """arc_window(M, d, t) = {c : min covering arc of M | {c} <= d}, for every
+    nonempty M, every d < t and every t <= 8; a palette that fits no arc of
+    d colors gets the empty window."""
+    for t in range(2, 9):
+        for mask in range(1, 1 << t):
+            members = frozenset(b + 1 for b in range(t) if mask >> b & 1)
+            spans = [_min_covering_arc(members | {c}, t) for c in range(1, t + 1)]
+            for d in range(1, t):
+                want = sum(1 << (c - 1) for c in range(1, t + 1) if spans[c - 1] <= d)
+                assert arc_window(mask, d, t) == want, (t, sorted(members), d)
+
+
 # --- arcs as bitmasks --------------------------------------------------------
 
 def test_arc_masks_are_every_arc_of_each_length():
@@ -221,6 +236,7 @@ def test_arc_masks_are_every_arc_of_each_length():
             for s, mask in enumerate(masks, start=1):
                 expected = {(s - 1 + i) % t + 1 for i in range(size)}
                 assert {b + 1 for b in range(t) if mask >> b & 1} == expected, (t, length, s)
+                assert mask_colors(mask) == sorted(expected)
                 assert mask < 1 << t and spans[mask] == size
             if length <= t:
                 every = {m for m, span in spans.items() if span == bin(m).count("1") == length}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import inspect
+import random
 from unittest import mock
 
 import pytest
@@ -767,16 +768,34 @@ def test_edgeless_graphs_have_nothing_to_search():
 
 
 def test_window_kernel_matches_the_span_definition():
-    """window(M, d) is {c : cyclic_span(M | {c}) <= d}, for every nonempty
-    palette M with t <= 10 and every d in 1..t+1, the span computed directly."""
+    """window(M, d) is {c : cyclic_span(M | {c}) <= d}, the span computed
+    directly: for every nonempty palette M with t <= 10 and every d in
+    1..t+1, and for a seeded sample of palettes at t = 11..27, the sizes
+    the benchmark's graphs reach."""
+
+    def check(window, t, mask, ds):
+        members = [c for c in range(1, t + 1) if mask >> (c - 1) & 1]
+        spans = [cyclic_span(ColorSet.of(t, members + [c])) for c in range(1, t + 1)]
+        for d in ds:
+            want = sum(1 << (c - 1) for c in range(1, t + 1) if spans[c - 1] <= d)
+            assert window(mask, d) == want, (t, members, d)
+
     for t in range(1, 11):
         window = _window_kernel(t)
         for mask in range(1, 1 << t):
-            members = [c for c in range(1, t + 1) if mask >> (c - 1) & 1]
-            spans = [cyclic_span(ColorSet.of(t, members + [c])) for c in range(1, t + 1)]
-            for d in range(1, t + 2):
-                want = sum(1 << (c - 1) for c in range(1, t + 1) if spans[c - 1] <= d)
-                assert window(mask, d) == want, (t, members, d)
+            check(window, t, mask, range(1, t + 2))
+    rng = random.Random(20261019)
+    for t in range(11, 28):
+        window = _window_kernel(t)
+        for _ in range(100):
+            # a short arc with a few holes, or any palette at all
+            if rng.random() < 0.5:
+                start, length = rng.randrange(t), rng.randint(1, t)
+                arc = [(start + i) % t for i in range(length)]
+                mask = sum(1 << c for c in rng.sample(arc, rng.randint(1, length)))
+            else:
+                mask = rng.randrange(1, 1 << t)
+            check(window, t, mask, range(1, t + 2))
 
 
 def test_deep_graphs_do_not_exhaust_the_call_stack():
