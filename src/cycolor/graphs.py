@@ -7,17 +7,49 @@ edges behind the caller's back.
 
 The graph core never calls the search: the chromatic index, which needs
 it on non-bipartite graphs, lives in `cycolor.solver`.
+
+`Graph.reach_ceiling` is the reach ceiling ρ(G), a bound on t above which
+no cyclically interval t-coloring exists. Take a vertex h and a coloring:
+h's palette is an arc of deg(h) colors. Along a vertex path h, v1, ..., vk,
+consecutive edges share a palette, an arc of deg(v_i) colors, so their
+colors lie within deg(v_i) - 1 of each other, and an edge at vk has its
+color within sum over i of (deg(v_i) - 1) of h's arc. Let R_h be the
+largest such distance over the edges, each taken along its shortest path:
+a vertex-weighted Dijkstra from h, with weight deg - 1 on every vertex but
+h. Every color is used, and every color lies within R_h of an arc of
+deg(h) colors, so t <= deg(h) + 2 R_h. ρ(G) is the least of these over
+the roots h tried; any set of roots gives a sound ceiling.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
+import heapq
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import InputError
+
+# The reach ceiling tries every vertex as a root up to this many vertices
+# (one Dijkstra each); a larger graph tries its first vertices of maximum
+# and minimum degree, so the ceiling costs two Dijkstras however large it is.
+_REACH_ALL_ROOTS = 128
+
+
+@dataclass(frozen=True)
+class ReachCeiling:
+    """ρ(G) = `bound` = `arc` + 2 `radius`: every color of a valid coloring
+    lies within `radius` of the arc of `arc` colors at the vertex `root`,
+    so no t above `bound` has one. A graph without edges has bound 0 and
+    no root."""
+
+    bound: int
+    root: Optional[str]
+    arc: int
+    radius: int
 
 
 @dataclass(frozen=True)
@@ -25,8 +57,8 @@ class Graph:
     """Immutable graph. `adjacency` maps each vertex to (neighbor, edge_index) pairs.
 
     Properties derived from the structure (`incidence`, `twin_classes`,
-    `connected`) are computed on first use and kept, since the graph never
-    changes.
+    `connected`, `reach_ceiling`) are computed on first use and kept, since
+    the graph never changes; a pickled copy carries the ones computed.
     """
 
     vertices: tuple[str, ...]
@@ -63,6 +95,64 @@ class Graph:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == len(self.vertices)
+
+    @functools.cached_property
+    def reach_ceiling(self) -> ReachCeiling:
+        """The reach ceiling ρ(G) of a connected graph, with its witness
+        root (see the module docstring)."""
+        return _reach_ceiling(self)
+
+
+def _reach_ceiling(g: Graph) -> ReachCeiling:
+    """ρ over every root, or over the first vertices of maximum and minimum
+    degree past _REACH_ALL_ROOTS vertices; ties keep the first root tried,
+    in vertex order."""
+    if not g.connected:
+        raise InputError("reach ceiling requires a connected graph")
+    if not g.edges:
+        return ReachCeiling(bound=0, root=None, arc=0, radius=0)
+    vid = {v: i for i, v in enumerate(g.vertices)}
+    nbrs = [[vid[w] for w, _ in g.adjacency[v]] for v in g.vertices]
+    weight = [len(ws) - 1 for ws in nbrs]
+    if len(nbrs) <= _REACH_ALL_ROOTS:
+        roots = range(len(nbrs))
+    else:
+        roots = sorted({weight.index(max(weight)), weight.index(min(weight))})
+    bound, witness = math.inf, (0, 0, 0)
+    for h in roots:
+        arc = len(nbrs[h])
+        radius = _reach_radius(nbrs, weight, h, bound - arc)
+        if radius is not None:
+            bound, witness = arc + 2 * radius, (h, arc, radius)
+    h, arc, radius = witness
+    return ReachCeiling(bound=arc + 2 * radius, root=g.vertices[h], arc=arc, radius=radius)
+
+
+def _reach_radius(nbrs: list[list[int]], weight: list[int], h: int, cutoff: float) -> Optional[int]:
+    """R_h: the largest distance from h to an edge, where an edge is as far
+    as its nearer end and a path costs the weights of its vertices but h.
+    None as soon as an edge lies at a distance d with 2d >= cutoff: h then
+    cannot give a lower ceiling."""
+    dist = [math.inf] * len(nbrs)
+    dist[h] = 0
+    done = [False] * len(nbrs)
+    heap = [(0, h)]
+    radius = 0
+    while heap:
+        d, v = heapq.heappop(heap)
+        if done[v]:
+            continue
+        done[v] = True
+        for w in nbrs[v]:
+            if not done[w]:
+                # the edge vw is first reached here, at d
+                if 2 * d >= cutoff:
+                    return None
+                radius = d
+                if d + weight[w] < dist[w]:
+                    dist[w] = d + weight[w]
+                    heapq.heappush(heap, (dist[w], w))
+    return radius
 
 
 @dataclass(frozen=True)

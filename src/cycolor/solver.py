@@ -52,9 +52,20 @@ The chromatic index asks the same search one question: at t = Δ, with
 every degree raised to Δ, a valid coloring is a proper Δ-coloring
 (`_proper_search`).
 
-Certificates are re-verified with the checker before being returned, and
-"not colorable" is only ever reported after an exhaustive search; running
-out of budget is its own outcome.
+Certificates are re-verified with the checker before being returned.
+"Not colorable" comes by one of four routes, each named by its `reason`:
+
+  - t below the max degree Δ: "t=T below max degree D: properness
+    impossible", as a vertex of degree Δ needs Δ colors;
+  - t above |E|: "t=T exceeds edge count E: some color must go unused";
+  - t above the reach ceiling ρ(G) (`Graph.reach_ceiling`, where the
+    proof is): "t=T exceeds reach ceiling P: every color lies within R
+    of the D-color arc of H, so t <= P". Each color is within R of the
+    arc of the palette at H, and those colors number at most D + 2R;
+  - an exhaustive search: "exhaustive search".
+
+The first three take no search and report 0 nodes. Running out of budget
+is its own outcome.
 
 `brute_force_decide` is the deliberately independent ground truth: it
 enumerates every assignment in lexicographic order and shares no search
@@ -410,7 +421,9 @@ def _certified(
 
 
 def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcome:
-    """Exact decision by backtracking; see module docstring for the prunes."""
+    """Exact decision: by argument where t is below the max degree, above
+    the edge count or above the reach ceiling, else by backtracking; see the
+    module docstring for the routes and the prunes."""
     start = time.perf_counter()
     cfg = cfg or SolverConfig()
     require_positive_int("t", t)
@@ -426,6 +439,13 @@ def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcom
         out = SearchOutcome(
             NOT_COLORABLE,
             reason=f"t={t} exceeds edge count {n_edges}: some color must go unused",
+        )
+    elif t > (ceiling := g.reach_ceiling).bound:
+        out = SearchOutcome(
+            NOT_COLORABLE,
+            reason=f"t={t} exceeds reach ceiling {ceiling.bound}: every color lies within"
+            f" {ceiling.radius} of the {ceiling.arc}-color arc of {ceiling.root},"
+            f" so t <= {ceiling.bound}",
         )
     else:
         plan = _plan(g)
@@ -665,7 +685,8 @@ def spectrum(
     the max degree instead, and `decide` settles the low end itself: below
     the chromatic index it finds no proper coloring. Ranges outside the
     window are clamped with a warning; a range left empty is a UsageError.
-    Each t is decided independently; jobs > 1 fans them out to at most
+    Each t is decided independently, against one reach ceiling computed
+    before any t is decided; jobs > 1 fans them out to at most
     min(jobs, number of t, CPU count) worker processes. t_min, t_max and
     jobs other than a positive integer are a UsageError.
     """
@@ -694,6 +715,8 @@ def spectrum(
             f" (meaningful window is [{lo_bound}, {hi_bound}])"
         )
     ts = list(range(lo, hi + 1))
+    # computed once here, so every pickled copy sent to a worker carries it
+    g.reach_ceiling
     tasks = (itertools.repeat(g), ts, itertools.repeat(cfg))
     # the pool forks all its workers up front, so start no more than can run
     workers = min(jobs, len(ts), os.cpu_count() or 1)

@@ -128,15 +128,38 @@ def test_solve_reports_not_colorable(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "not-colorable"
     assert payload["coloring"] is None
+    # gm(2)'s reach ceiling is 6, so t=7 is refuted with no search
+    assert payload["nodes"] == 0
+    assert payload["reason"] == (
+        "t=7 exceeds reach ceiling 6: every color lies within 1 of the 4-color arc of x0,"
+        " so t <= 6"
+    )
+
+
+def test_spectrum_reports_the_reach_ceiling(tmp_path, capsys):
+    # gm(3)'s ceiling is 13: t=9..13 are colorable and t=14..27 need no search
+    gp = _write_graph(tmp_path, gen_gm(3))
+    assert main(["spectrum", "--graph", gp]) == EXIT_OK
+    outcomes = json.loads(capsys.readouterr().out)["outcomes"]
+    assert sorted(map(int, outcomes)) == list(range(9, 28))
+    for t in range(9, 14):
+        assert outcomes[str(t)]["status"] == "colorable", t
+    for t in range(14, 28):
+        reason = (
+            f"t={t} exceeds reach ceiling 13: every color lies within 2 of the 9-color arc"
+            " of x0, so t <= 13"
+        )
+        assert (outcomes[str(t)]["status"], outcomes[str(t)]["nodes"]) == ("not-colorable", 0)
+        assert outcomes[str(t)]["reason"] == reason, t
 
 
 def test_solve_budget_exit(tmp_path, capsys):
-    gp = _write_graph(tmp_path, gen_gm(2))
-    assert main(["solve", "--graph", gp, "--t", "7", "--budget-nodes", "3"]) == EXIT_BUDGET
+    # gm(4) at t=19 is below its reach ceiling of 22 and runs past 3M nodes
+    gp = _write_graph(tmp_path, gen_gm(4))
+    assert main(["solve", "--graph", gp, "--t", "19", "--budget-nodes", "3"]) == EXIT_BUDGET
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "budget-exceeded"
-    gp = _write_graph(tmp_path, gen_gm(3), "gm3.json")
-    assert main(["solve", "--graph", gp, "--t", "14", "--budget-seconds", "0.05"]) == EXIT_BUDGET
+    assert main(["solve", "--graph", gp, "--t", "19", "--budget-seconds", "0.05"]) == EXIT_BUDGET
     payload = json.loads(capsys.readouterr().out)
     assert payload["reason"] == "time budget 0.05s exhausted"
 

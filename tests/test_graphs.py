@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import random
 import re
 
 import pytest
 
+from cycolor import graphs
 from cycolor.cnf import export_cnf
 from cycolor.coloring import Coloring, check_proper
 from cycolor.errors import BudgetError, InputError
@@ -23,7 +26,7 @@ from cycolor.graphs import (
     to_dot,
     to_json,
 )
-from cycolor.solver import chromatic_index
+from cycolor.solver import COLORABLE, brute_force_decide, chromatic_index
 
 
 def _k4():
@@ -245,3 +248,95 @@ def test_vertex_labels_cannot_break_dot_or_dimacs_lines():
         assert json.loads(ln.strip()[:-1]) == v
     for ln in lines[1 + len(names) : -1]:
         assert re.fullmatch(rf"  {_DOT_ID} -- {_DOT_ID};", ln), ln
+
+
+def _random_connected(rng, n, extra):
+    """A random spanning tree on n vertices plus `extra` other edges, in a
+    shuffled edge order."""
+    names = [f"v{i}" for i in range(n)]
+    edges = [(names[rng.randrange(i)], names[i]) for i in range(1, n)]
+    tree = {frozenset(e) for e in edges}
+    others = [e for e in itertools.combinations(names, 2) if frozenset(e) not in tree]
+    edges += rng.sample(others, min(extra, len(others)))
+    rng.shuffle(edges)
+    return build_graph(names, edges)
+
+
+def _ceiling_by_relaxation(g, roots):
+    """min over the roots h of deg(h) + 2 R_h, with R_h from a plain
+    relaxation to a fixed point: D(h) = 0, D(w) <= D(v) + deg(w) - 1 for
+    each neighbour w of v, and an edge as far as its nearer end."""
+    deg = {v: len(g.adjacency[v]) for v in g.vertices}
+    best = math.inf
+    for h in roots:
+        dist = {v: math.inf for v in g.vertices}
+        dist[h] = 0
+        changed = True
+        while changed:
+            changed = False
+            for a, b in g.edges:
+                for u, w in ((a, b), (b, a)):
+                    if dist[u] + deg[w] - 1 < dist[w]:
+                        dist[w] = dist[u] + deg[w] - 1
+                        changed = True
+        radius = max(min(dist[a], dist[b]) for a, b in g.edges)
+        best = min(best, deg[h] + 2 * radius)
+    return best
+
+
+def test_reach_ceiling_matches_a_plain_relaxation(monkeypatch):
+    """The Dijkstra with its early exit finds the same ceiling as a plain
+    relaxation from every root; its witness attains it. Past the root cap,
+    only the first vertices of maximum and minimum degree are tried, which
+    can only raise the ceiling."""
+    rng = random.Random(20261019)
+    cases = [_random_connected(rng, n, rng.randrange(4)) for n in range(2, 13) for _ in range(15)]
+    cases += [gen_gm(2), gen_gm(3), gen_cycle(7), gen_star(4), gen_path(5)]
+    for g in cases:
+        c = g.reach_ceiling
+        assert c.bound == _ceiling_by_relaxation(g, g.vertices), g.edges
+        assert c.bound == c.arc + 2 * c.radius == _ceiling_by_relaxation(g, [c.root])
+        assert c.arc == len(g.adjacency[c.root])
+    monkeypatch.setattr(graphs, "_REACH_ALL_ROOTS", 1)
+    for g in cases:
+        capped = build_graph(list(g.vertices), list(g.edges)).reach_ceiling
+        degree = [len(g.adjacency[v]) for v in g.vertices]
+        roots = {g.vertices[degree.index(max(degree))], g.vertices[degree.index(min(degree))]}
+        assert capped.root in roots
+        assert capped.bound == _ceiling_by_relaxation(g, roots) >= g.reach_ceiling.bound
+
+
+def test_reach_ceiling_of_gm_has_a_closed_form():
+    # The hub gives m^2 + 2m - 2 and a grid vertex 7m - 4; the docstring of
+    # test_spectrum_of_gm7_is_refuted_by_the_reach_ceiling derives both.
+    # gm(9) and up are past the root cap, where only the hub and the first
+    # grid vertex are tried.
+    for m in range(2, 13):
+        assert gen_gm(m).reach_ceiling.bound == min(m * m + 2 * m - 2, 7 * m - 4), m
+
+
+def test_reach_ceiling_never_refutes_what_the_oracle_colors():
+    """Every t that the brute-force oracle colors is at most ρ, checked at
+    every t within the oracle's reach on random connected graphs of 3-7
+    vertices."""
+    rng = random.Random(7)
+    above = 0
+    for n in range(3, 8):
+        for _ in range(60):
+            g = _random_connected(rng, n, rng.randrange(3))
+            rho = g.reach_ceiling.bound
+            for t in range(1, len(g.edges) + 1):
+                if t ** len(g.edges) > 2 * 10**6:
+                    break
+                above += t > rho
+                if brute_force_decide(g, t).status == COLORABLE:
+                    assert t <= rho, (g.edges, t)
+    assert above  # some t in reach lie above the ceiling
+
+
+def test_reach_ceiling_preconditions():
+    two_parts = build_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+    with pytest.raises(InputError, match="reach ceiling requires a connected graph"):
+        two_parts.reach_ceiling
+    for g in (build_graph([], []), build_graph(["a"], [])):
+        assert g.reach_ceiling == graphs.ReachCeiling(bound=0, root=None, arc=0, radius=0)

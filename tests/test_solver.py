@@ -5,6 +5,9 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import inspect
+import itertools
+import os
+import pickle
 import random
 from unittest import mock
 
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycolor import solver
+from cycolor import graphs, solver
 from cycolor.coloring import (
     KIND_BAD_PALETTE,
     KIND_COLOR_UNUSED,
@@ -52,6 +55,18 @@ def _rotate(c: Coloring) -> Coloring:
 
 def _reflect(c: Coloring) -> Coloring:
     return Coloring(c.t, tuple(c.t + 1 - x for x in c.colors))
+
+
+def _searched(g, t, cfg=SolverConfig()):
+    """The outcome of the search itself at t, run on the plan as `decide`
+    runs it but with no refutation by argument before it: the walks that
+    the node-count pins follow go on past the reach ceiling."""
+    plan = solver._plan(g)
+    if cfg.symmetry_breaking:
+        out, _ = solver._search(plan, t, solver._symmetry_rules(plan, t), cfg, plan.gt)
+    else:
+        out, _ = solver._search(plan, t, [(1 << t) - 1] * len(plan.order), cfg)
+    return out
 
 
 def test_decide_validates_inputs():
@@ -172,21 +187,27 @@ def test_symmetry_breaking_preserves_the_answer():
         (gen_gm(2), 7),
     ]
     for g, t in cases:
-        on = decide(g, t, SolverConfig(symmetry_breaking=True))
-        off = decide(g, t, SolverConfig(symmetry_breaking=False))
-        assert on.status == off.status
+        # decide refutes gm(2) at t=7 by its reach ceiling, so the searches
+        # are compared on their own too
+        for run in (decide, _searched):
+            on = run(g, t, SolverConfig(symmetry_breaking=True))
+            off = run(g, t, SolverConfig(symmetry_breaking=False))
+            assert on.status == off.status, (run.__name__, t)
 
 
 def test_budgets_interrupt_instead_of_lying():
-    g = gen_gm(2)
-    out = decide(g, 7, SolverConfig(node_budget=5))
+    # the 5-cycle at t=4 is within its reach ceiling of 6 and is refuted by
+    # an exhaustive search of 34 nodes
+    g = gen_cycle(5)
+    out = decide(g, 4, SolverConfig(node_budget=5))
     assert out.status == BUDGET_EXCEEDED
     assert out.nodes >= 5
     # a generous budget reaches the exhaustive answer
-    full = decide(g, 7, SolverConfig(node_budget=10**6))
-    assert full.status == NOT_COLORABLE
-    # the clock is read every 1024 nodes; gm(3) at t=14 is far out of reach
-    out = decide(gen_gm(3), 14, SolverConfig(time_budget=0.05))
+    full = decide(g, 4, SolverConfig(node_budget=10**6))
+    assert (full.status, full.reason) == (NOT_COLORABLE, "exhaustive search")
+    # the clock is read every 1024 nodes; gm(4) at t=19, below its ceiling
+    # of 22, runs past 3M nodes
+    out = decide(gen_gm(4), 19, SolverConfig(time_budget=0.05))
     assert out.status == BUDGET_EXCEEDED
     assert out.reason == "time budget 0.05s exhausted"
     assert out.nodes % 1024 == 0
@@ -196,7 +217,7 @@ def test_budgets_interrupt_instead_of_lying():
         (1023, "node budget 1023 exhausted"),
         (1024, "time budget 1e-09s exhausted"),
     ):
-        out = decide(gen_gm(3), 14, SolverConfig(node_budget=node_budget, time_budget=1e-9))
+        out = decide(gen_gm(4), 19, SolverConfig(node_budget=node_budget, time_budget=1e-9))
         assert (out.status, out.reason, out.nodes) == (BUDGET_EXCEEDED, reason, 1024)
 
 
@@ -584,7 +605,9 @@ def test_node_counts_are_pinned():
     These numbers pin how the search walks, not whether it is right (the
     verdicts are backed by the brute-force oracle and the HiGHS references).
     A change that should leave the search alone, such as a faster prune
-    test, must leave every count here unchanged.
+    test, must leave every count here unchanged. Where t is above the reach
+    ceiling, `decide` refutes it with no search, so the walk there is pinned
+    on the search itself (`_searched`).
     """
     expected = [
         (gen_gm(2), {4: (COLORABLE, 8), 5: (COLORABLE, 18), 6: (COLORABLE, 38),
@@ -593,19 +616,22 @@ def test_node_counts_are_pinned():
                      12: (COLORABLE, 3573), 13: (COLORABLE, 6250)}),
     ]
     for g, table in expected:
+        rho = g.reach_ceiling.bound
         for t, (status, nodes) in table.items():
-            out = decide(g, t)
+            out = decide(g, t) if t <= rho else _searched(g, t)
             assert (out.status, out.nodes) == (status, nodes), t
-    out = decide(gen_gm(3), 14, SolverConfig(node_budget=10_000))
+    out = _searched(gen_gm(3), 14, SolverConfig(node_budget=10_000))
     assert (out.status, out.nodes) == (BUDGET_EXCEEDED, 10_001)
     unbroken = SolverConfig(symmetry_breaking=False)
     for t, (status, nodes) in {4: (COLORABLE, 8), 5: (COLORABLE, 18), 6: (COLORABLE, 38),
                                7: (NOT_COLORABLE, 5131), 8: (NOT_COLORABLE, 3152)}.items():
-        out = decide(gen_gm(2), t, unbroken)
+        out = decide(gen_gm(2), t, unbroken) if t <= 6 else _searched(gen_gm(2), t, unbroken)
         assert (out.status, out.nodes) == (status, nodes), t
-    # a tree whose twin class (11, 17) is chained in the plan, at 10k nodes
+    # a tree whose twin class (11, 17) is chained in the plan, at 10k nodes;
+    # its reach ceiling is 15
     tree = gen_random_tree(20, 1)
     assert any(p < len(tree.edges) for p in solver._plan(tree).gt)
+    assert tree.reach_ceiling.bound == 15
     found = dict(zip(range(4, 14), (21, 27, 43, 33, 259, 135, 214, 2116, 3613, 2483)))
     found_unbroken = {**found, **dict(zip(range(8, 14), (435, 210, 290, 3508, 5323, 3077)))}
     over = (BUDGET_EXCEEDED, 10_001)
@@ -620,7 +646,7 @@ def test_node_counts_are_pinned():
                 else (NOT_COLORABLE, refuted[t]) if t in refuted
                 else over
             )  # fmt: skip
-            out = decide(tree, t, cfg)
+            out = decide(tree, t, cfg) if t <= 15 else _searched(tree, t, cfg)
             assert (out.status, out.nodes) == want, (sym, t)
     # the chromatic-index search: an odd cycle has no proper 2-coloring
     for n, nodes in ((5, 4), (7, 6), (9, 8)):
@@ -630,12 +656,90 @@ def test_node_counts_are_pinned():
     assert (out.status, out.nodes) == (BUDGET_EXCEEDED, 200_001)
 
 
+def test_the_search_never_colors_above_the_reach_ceiling():
+    """Every t above ρ that the search settles on its own, with no ceiling
+    before it and within 20,000 nodes, it refutes: random connected graphs
+    of 3-12 vertices, a spanning tree plus up to three other edges."""
+    rng = random.Random(11)
+    refuted = 0
+    for n in range(3, 13):
+        for _ in range(30):
+            names = [f"v{i}" for i in range(n)]
+            edges = [(names[rng.randrange(i)], names[i]) for i in range(1, n)]
+            tree = {frozenset(e) for e in edges}
+            others = [e for e in itertools.combinations(names, 2) if frozenset(e) not in tree]
+            g = build_graph(names, edges + rng.sample(others, min(rng.randrange(4), len(others))))
+            delta = max(len(g.adjacency[v]) for v in g.vertices)
+            for t in range(max(delta, g.reach_ceiling.bound + 1), len(g.edges) + 1):
+                for sym in (True, False):
+                    out = _searched(g, t, SolverConfig(symmetry_breaking=sym, node_budget=20_000))
+                    assert out.status != COLORABLE, (g.edges, t, sym)
+                    refuted += out.status == NOT_COLORABLE
+                out = decide(g, t)
+                assert (out.status, out.nodes) == (NOT_COLORABLE, 0)
+                assert out.reason.startswith(f"t={t} exceeds reach ceiling")
+    assert refuted > 50
+
+
+def test_spectrum_of_gm7_is_refuted_by_the_reach_ceiling():
+    """gm(7) has no t in its window [Δ, |E|] = [49, 343] at or below its
+    reach ceiling 45, so `spectrum` refutes every t with no search.
+
+    The derivation, for gm(m) with m >= 3. The hub has degree m², a pair
+    vertex 2m and a grid vertex m, so the weights deg - 1 are m² - 1,
+    2m - 1 and m - 1. Take h = y_{p,q}, of degree m; its own edges are at
+    0. Its neighbours are the hub and the m - 1 pairs x_{p,j}; a pair is
+    at 2m - 1, and every grid vertex other than h is a neighbour of some
+    such pair (y_{j,s} of x_{p,j}, y_{p,s} of any), so it is at
+    (2m - 1) + (m - 1) = 3m - 2. The route through the hub costs
+    (m² - 1) + (m - 1), no less. Every edge has a grid end, at most
+    3m - 2 away. A pair x_{r,s} with p not in {r, s} (there is one, as
+    m >= 3) is no neighbour of h, so it lies at 3m - 2 + (2m - 1), and
+    its edges are exactly 3m - 2 away. So R = 3m - 2, and h gives
+    m + 2(3m - 2) = 7m - 4. From the hub, every grid vertex is a
+    neighbour, at m - 1, and every other edge has a grid end: R = m - 1
+    and the hub gives m² + 2m - 2. At m = 7 these are 45 and 61.
+    """
+    g = gen_gm(7)
+    assert g.reach_ceiling == graphs.ReachCeiling(bound=45, root="y_1_1", arc=7, radius=19)
+    res = spectrum(g)
+    assert (res.t_min, res.t_max) == (49, 343)
+    reason = "exceeds reach ceiling 45: every color lies within 19 of the 7-color arc of y_1_1"
+    for t, out in res.outcomes.items():
+        assert (out.status, out.nodes) == (NOT_COLORABLE, 0), t
+        assert out.reason == f"t={t} {reason}, so t <= 45", t
+
+
+def test_the_reach_ceiling_is_computed_once_per_spectrum(tmp_path, monkeypatch):
+    """`spectrum` computes the ceiling once, before it decides any t, and
+    the pickled graph it sends to each worker carries it. Each computation
+    appends the computing process's id to a file, so one in a worker (which
+    inherits the counting function when it is forked) would show too."""
+    calls = tmp_path / "calls"
+    compute = graphs._reach_ceiling
+
+    def counted(g):
+        with calls.open("a") as f:
+            f.write(f"{os.getpid()}\n")
+        return compute(g)
+
+    monkeypatch.setattr(graphs, "_reach_ceiling", counted)
+    for jobs in (1, 2):
+        calls.write_text("")
+        g = gen_gm(2)
+        spectrum(g, jobs=jobs)
+        assert calls.read_text().split() == [str(os.getpid())], jobs
+        assert pickle.loads(pickle.dumps(g)).reach_ceiling == g.reach_ceiling
+        assert calls.read_text().split() == [str(os.getpid())], jobs
+
+
 def test_gm3_top_of_the_window_is_refused_exhaustively():
-    """With rotation and twin ordering, the last two t of gm(3) are refuted
-    by exhaustive search in a few hundred thousand nodes."""
+    """With rotation and twin ordering, the search refutes the last two t of
+    gm(3) in a few hundred thousand nodes. `decide` refutes both by the
+    reach ceiling first, so the search is run on its own."""
     g = gen_gm(3)
     for t, nodes in ((26, 302_899), (27, 125_513)):
-        out = decide(g, t)
+        out = _searched(g, t)
         assert (out.status, out.reason, out.nodes) == (NOT_COLORABLE, "exhaustive search", nodes)
 
 
@@ -738,12 +842,13 @@ def test_every_valid_coloring_has_an_image_that_the_rules_keep():
 def test_bulk_node_counts_stop_at_the_budget_boundary():
     """A position's nodes are counted at once; the node budget still stops
     the search at exactly budget + 1, and a budget the search stays within
-    changes nothing. gm(2) at t=7 is not colorable in 47 nodes."""
+    changes nothing. The search refutes gm(2) at t=7 in 47 nodes (`decide`
+    refutes it by the reach ceiling first)."""
     for budget in (1, 2, 3, 46):
-        out = decide(gen_gm(2), 7, SolverConfig(node_budget=budget))
+        out = _searched(gen_gm(2), 7, SolverConfig(node_budget=budget))
         assert (out.status, out.nodes) == (BUDGET_EXCEEDED, budget + 1), budget
     for budget in (47, 1024, 1025):
-        out = decide(gen_gm(2), 7, SolverConfig(node_budget=budget))
+        out = _searched(gen_gm(2), 7, SolverConfig(node_budget=budget))
         assert (out.status, out.nodes) == (NOT_COLORABLE, 47), budget
 
 
