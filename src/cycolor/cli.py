@@ -26,6 +26,7 @@ The error kind alone decides the exit code (see `cycolor.errors`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import stat
@@ -209,7 +210,11 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call (about 1 ms) and kept.
+    Each subcommand runs the module's `_cmd_<name>`, looked up when it is
+    called."""
     parser = argparse.ArgumentParser(
         prog="cycolor",
         description="Generate, check, search, and audit cyclically-interval edge colorings.",
@@ -224,13 +229,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, help="right side size for kab")
     p.add_argument("--seed", type=int, help="PRNG seed for tree")
     p.add_argument("--out", help="write to file instead of stdout")
-    p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("check", help="verify a coloring certificate against a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--coloring", required=True)
     p.add_argument("--out", help="write verdict JSON to file")
-    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("solve", help="decide one t by exact search")
     p.add_argument("--graph", required=True)
@@ -239,7 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-seconds", type=float, default=None)
     p.add_argument("--no-symmetry-breaking", action="store_true")
     p.add_argument("--out", help="write certificate/outcome JSON to file")
-    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("spectrum", help="decide a whole t range")
     p.add_argument("--graph", required=True)
@@ -250,34 +252,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-seconds", type=float, default=None)
     p.add_argument("--graph-id", default=None)
     p.add_argument("--out", help="write spectrum JSON to file")
-    p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("audit", help="audit the impossibility argument over an m range")
     p.add_argument("--m-min", type=int, required=True)
     p.add_argument("--m-max", type=int, required=True)
     p.add_argument("--out", help="write summary JSON to file")
-    p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("export-cnf", help="emit DIMACS CNF for (graph, t)")
     p.add_argument("--graph", required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--out", help="write DIMACS to file")
-    p.set_defaults(func=_cmd_export_cnf)
 
     p = sub.add_parser("export-dot", help="emit Graphviz DOT, optionally color-labeled")
     p.add_argument("--graph", required=True)
     p.add_argument("--coloring", default=None)
     p.add_argument("--out", help="write DOT to file")
-    p.set_defaults(func=_cmd_export_dot)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

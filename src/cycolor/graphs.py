@@ -19,6 +19,22 @@ a vertex-weighted Dijkstra from h, with weight deg - 1 on every vertex but
 h. Every color is used, and every color lies within R_h of an arc of
 deg(h) colors, so t <= deg(h) + 2 R_h. ρ(G) is the least of these over
 the roots h tried; any set of roots gives a sound ceiling.
+
+`Graph.tree_width` is W(T) for a tree T: the largest sum over the vertices
+v of a path of deg(v) - 1, plus one, which is the number of edges at the
+path. A tree is cyclically interval t-colorable exactly when
+Δ <= t <= W(T). The width comes from two sweeps, each to the leaf farthest
+from where it starts, with vertex weights deg - 1; leaves weigh 0, so the
+second sweep ends a path of largest weight. The coloring gives each
+vertex a palette of deg consecutive integers that starts at the color of
+the edge it is reached by (the path's first vertex starts at 1). Along the
+path the next path edge takes the palette's top color, so the colors
+climb from 1 to W(T); every other edge is hung from its parent edge,
+outward from the path. Two colors of an integer interval coloring differ
+by at most the sum of deg - 1 over the vertices between their edges, which
+is at most W(T) - 1, so every color stays in [1, W(T)]. That coloring
+folded mod t is a cyclically interval t-coloring for every t in
+[Δ, W(T)].
 """
 
 from __future__ import annotations
@@ -53,12 +69,27 @@ class ReachCeiling:
 
 
 @dataclass(frozen=True)
+class TreeWidth:
+    """W(T) = `width` for a tree: `path` is a vertex path of largest
+    weight, `width` - 1 = the sum of deg - 1 over its vertices, and `lift`
+    colors each edge (aligned with the edge list) with an integer in
+    [1, width] so that every vertex's colors are deg consecutive integers.
+    A tree without edges has width 0, a path of its one vertex and no
+    colors."""
+
+    width: int
+    path: tuple[str, ...]
+    lift: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class Graph:
     """Immutable graph. `adjacency` maps each vertex to (neighbor, edge_index) pairs.
 
     Properties derived from the structure (`incidence`, `twin_classes`,
-    `connected`, `reach_ceiling`) are computed on first use and kept, since
-    the graph never changes; a pickled copy carries the ones computed.
+    `connected`, `reach_ceiling`, `tree_width`) are computed on first use
+    and kept, since the graph never changes; a pickled copy carries the
+    ones computed.
     """
 
     vertices: tuple[str, ...]
@@ -101,6 +132,14 @@ class Graph:
         """The reach ceiling ρ(G) of a connected graph, with its witness
         root (see the module docstring)."""
         return _reach_ceiling(self)
+
+    @functools.cached_property
+    def tree_width(self) -> Optional[TreeWidth]:
+        """W(T) with its path and interval coloring if the graph is a tree
+        (see the module docstring), else None."""
+        if not self.connected or len(self.edges) != len(self.vertices) - 1:
+            return None
+        return _tree_width(self)
 
 
 def _reach_ceiling(g: Graph) -> ReachCeiling:
@@ -153,6 +192,58 @@ def _reach_radius(nbrs: list[list[int]], weight: list[int], h: int, cutoff: floa
                     dist[w] = d + weight[w]
                     heapq.heappush(heap, (dist[w], w))
     return radius
+
+
+def _tree_width(g: Graph) -> TreeWidth:
+    """Two sweeps from the first vertex, then the coloring along the path."""
+    if not g.edges:
+        return TreeWidth(width=0, path=g.vertices, lift=())
+    vid = {v: i for i, v in enumerate(g.vertices)}
+    nbrs = [[(vid[w], e) for w, e in g.adjacency[v]] for v in g.vertices]
+    degree = [len(ws) for ws in nbrs]
+    a, _ = _farthest_leaf(nbrs, degree, 0)
+    b, parent = _farthest_leaf(nbrs, degree, a)
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    path.reverse()
+    lift = [0] * len(g.edges)  # 0: not colored yet; every color is at least 1
+    hung = []  # (vertex, the lowest color of its palette)
+    low = 1
+    for v, w in zip(path, path[1:]):
+        hung.append((v, low))
+        e = next(e for x, e in nbrs[v] if x == w)
+        low = lift[e] = low + degree[v] - 1
+    hung.append((b, low))
+    width = low + degree[b] - 1
+    while hung:
+        v, low = hung.pop()
+        todo = [(w, e) for w, e in nbrs[v] if not lift[e]]
+        free = set(range(low, low + degree[v])).difference(lift[e] for _, e in nbrs[v])
+        for (w, e), c in zip(todo, sorted(free)):
+            lift[e] = c
+            hung.append((w, c))
+    return TreeWidth(width=width, path=tuple(g.vertices[v] for v in path), lift=tuple(lift))
+
+
+def _farthest_leaf(nbrs: list[list[tuple[int, int]]], degree: list[int], root: int):
+    """The leaf other than root that is farthest from root, where a path
+    weighs the sum of deg - 1 over its vertices (the first in vertex order
+    among ties), and the parent of each vertex on the way from root."""
+    parent = [-1] * len(nbrs)
+    parent[root] = root
+    dist = [0] * len(nbrs)
+    dist[root] = degree[root] - 1
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w, _ in nbrs[v]:
+            if parent[w] < 0:
+                parent[w] = v
+                dist[w] = dist[v] + degree[w] - 1
+                stack.append(w)
+    leaves = [v for v in range(len(nbrs)) if degree[v] == 1 and v != root]
+    return max(leaves, key=dist.__getitem__), parent
 
 
 @dataclass(frozen=True)

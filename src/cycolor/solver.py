@@ -53,18 +53,34 @@ every degree raised to Δ, a valid coloring is a proper Δ-coloring
 (`_proper_search`).
 
 Certificates are re-verified with the checker before being returned.
-"Not colorable" comes by one of four routes, each named by its `reason`:
+"Not colorable" comes by one of five routes, each named by its `reason`:
 
   - t below the max degree Δ: "t=T below max degree D: properness
     impossible", as a vertex of degree Δ needs Δ colors;
   - t above |E|: "t=T exceeds edge count E: some color must go unused";
+  - on a tree, t above its width W(T) (`Graph.tree_width`): "t=T exceeds
+    tree width W, the most edges at one path (A to B): a coloring lifted
+    along the tree spans at most W colors";
   - t above the reach ceiling ρ(G) (`Graph.reach_ceiling`, where the
     proof is): "t=T exceeds reach ceiling P: every color lies within R
     of the D-color arc of H, so t <= P". Each color is within R of the
     arc of the palette at H, and those colors number at most D + 2R;
   - an exhaustive search: "exhaustive search".
 
-The first three take no search and report 0 nodes. Running out of budget
+The tree-width refutation is this. Lift a valid t-coloring of a tree to
+the integers along the tree: from one edge outward, each palette, an arc
+of deg colors, becomes deg consecutive integers holding the lift of the
+edge it was reached by. The lifts cover every residue mod t, so the
+least and the largest lift differ by at least t - 1. Along the tree path
+between their edges, consecutive edges share a palette, so the lift moves
+by at most deg - 1 at each vertex, and t - 1 <= W(T) - 1.
+
+On a tree, every t in [Δ, W(T)] is colorable: `Graph.tree_width` holds an
+integer interval coloring of span W(T), and folded mod t, c -> (c - 1) % t
++ 1, each palette of deg <= t consecutive integers becomes an arc of deg
+colors and the span covers every color. Its reason is "interval coloring
+of tree width W folded mod T". All of these but the search report 0 nodes;
+on a tree no t reads the reach ceiling or searches. Running out of budget
 is its own outcome.
 
 `brute_force_decide` is the deliberately independent ground truth: it
@@ -414,16 +430,22 @@ def _certified(
     colors = [0] * len(order)
     for p, e in enumerate(order):
         colors[e] = placed[p].bit_length()
-    cert = Coloring(t=t, colors=tuple(colors))
-    if not check(g, cert).ok:
-        raise InternalError("certificate failed re-verification")
+    cert = _reverified(g, Coloring(t=t, colors=tuple(colors)), check)
     return SearchOutcome(COLORABLE, coloring=cert, nodes=outcome.nodes)
 
 
+def _reverified(g: Graph, cert: Coloring, check: Callable) -> Coloring:
+    """cert, once the checker `check` has passed it."""
+    if not check(g, cert).ok:
+        raise InternalError("certificate failed re-verification")
+    return cert
+
+
 def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcome:
-    """Exact decision: by argument where t is below the max degree, above
-    the edge count or above the reach ceiling, else by backtracking; see the
-    module docstring for the routes and the prunes."""
+    """Exact decision: by argument where t is below the max degree or above
+    the edge count, by the tree width on a tree, by argument above the reach
+    ceiling, else by backtracking; see the module docstring for the routes
+    and the prunes."""
     start = time.perf_counter()
     cfg = cfg or SolverConfig()
     require_positive_int("t", t)
@@ -440,6 +462,21 @@ def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcom
             NOT_COLORABLE,
             reason=f"t={t} exceeds edge count {n_edges}: some color must go unused",
         )
+    elif (tree := g.tree_width) is not None:
+        if t > tree.width:
+            out = SearchOutcome(
+                NOT_COLORABLE,
+                reason=f"t={t} exceeds tree width {tree.width}, the most edges at one path"
+                f" ({tree.path[0]} to {tree.path[-1]}): a coloring lifted along the tree"
+                f" spans at most {tree.width} colors",
+            )
+        else:
+            folded = Coloring(t=t, colors=tuple((c - 1) % t + 1 for c in tree.lift))
+            out = SearchOutcome(
+                COLORABLE,
+                coloring=_reverified(g, folded, check_cyclically_interval),
+                reason=f"interval coloring of tree width {tree.width} folded mod {t}",
+            )
     elif t > (ceiling := g.reach_ceiling).bound:
         out = SearchOutcome(
             NOT_COLORABLE,
@@ -685,10 +722,11 @@ def spectrum(
     the max degree instead, and `decide` settles the low end itself: below
     the chromatic index it finds no proper coloring. Ranges outside the
     window are clamped with a warning; a range left empty is a UsageError.
-    Each t is decided independently, against one reach ceiling computed
-    before any t is decided; jobs > 1 fans them out to at most
-    min(jobs, number of t, CPU count) worker processes. t_min, t_max and
-    jobs other than a positive integer are a UsageError.
+    Each t is decided independently, against one tree width (on a tree) or
+    reach ceiling (on any other graph) computed before any t is decided;
+    jobs > 1 fans them out to at most min(jobs, number of t, CPU count)
+    worker processes. t_min, t_max and jobs other than a positive integer
+    are a UsageError.
     """
     cfg = cfg or SolverConfig()
     require_positive_int("jobs", jobs)
@@ -715,8 +753,10 @@ def spectrum(
             f" (meaningful window is [{lo_bound}, {hi_bound}])"
         )
     ts = list(range(lo, hi + 1))
-    # computed once here, so every pickled copy sent to a worker carries it
-    g.reach_ceiling
+    # computed once here, so every pickled copy sent to a worker carries
+    # it; no t of a tree reads the reach ceiling
+    if g.tree_width is None:
+        g.reach_ceiling
     tasks = (itertools.repeat(g), ts, itertools.repeat(cfg))
     # the pool forks all its workers up front, so start no more than can run
     workers = min(jobs, len(ts), os.cpu_count() or 1)

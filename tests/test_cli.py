@@ -136,6 +136,24 @@ def test_solve_reports_not_colorable(tmp_path, capsys):
     )
 
 
+def test_solve_refutes_a_tree_above_its_width(tmp_path, capsys):
+    # three legs of two edges at c: 6 edges, but at most 5 at one path
+    legs = [("c", "a1"), ("a1", "a2"), ("c", "b1"), ("b1", "b2"), ("c", "d1"), ("d1", "d2")]
+    g = graphs.build_graph(["c", "a1", "a2", "b1", "b2", "d1", "d2"], legs)
+    gp = _write_graph(tmp_path, g)
+    assert main(["solve", "--graph", gp, "--t", "6"]) == EXIT_CHECKED_FALSE
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["status"], payload["nodes"], payload["coloring"]) == ("not-colorable", 0, None)
+    assert payload["reason"] == (
+        "t=6 exceeds tree width 5, the most edges at one path (a2 to b2):"
+        " a coloring lifted along the tree spans at most 5 colors"
+    )
+    assert main(["solve", "--graph", gp, "--t", "5"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert check_cyclically_interval(g, coloring_mod.from_json(captured.out)).ok
+    assert captured.err == "colorable: t=5, 0 nodes\n"
+
+
 def test_spectrum_reports_the_reach_ceiling(tmp_path, capsys):
     # gm(3)'s ceiling is 13: t=9..13 are colorable and t=14..27 need no search
     gp = _write_graph(tmp_path, gen_gm(3))
@@ -396,6 +414,27 @@ def test_each_error_kind_has_one_exit_code(monkeypatch, capsys, kind, code, pref
     monkeypatch.setattr(cli, "_cmd_check", fail)
     assert main(["check", "--graph", "g.json", "--coloring", "c.json"]) == code
     assert capsys.readouterr().err == f"{prefix}boom\n"
+
+
+def test_two_main_calls_build_the_parser_once(monkeypatch, tmp_path):
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "cycolor":  # not a subcommand's parser
+            built.append(self)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    try:
+        for n in ("2", "3"):
+            out = tmp_path / f"path{n}.json"
+            assert main(["gen", "--family", "path", "--n", n, "--out", str(out)]) == EXIT_OK
+            assert graphs.from_json(out.read_text(encoding="utf-8")) == gen_path(int(n))
+    finally:
+        cli._build_parser.cache_clear()
+    assert len(built) == 1
 
 
 def test_out_flag_failure(tmp_path, capsys):

@@ -14,7 +14,14 @@ from cycolor import graphs
 from cycolor.cnf import export_cnf
 from cycolor.coloring import Coloring, check_proper
 from cycolor.errors import BudgetError, InputError
-from cycolor.families import gen_complete_bipartite, gen_cycle, gen_gm, gen_path, gen_star
+from cycolor.families import (
+    gen_complete_bipartite,
+    gen_cycle,
+    gen_gm,
+    gen_path,
+    gen_random_tree,
+    gen_star,
+)
 from cycolor.graphs import (
     Bipartition,
     NotBipartite,
@@ -340,3 +347,65 @@ def test_reach_ceiling_preconditions():
         two_parts.reach_ceiling
     for g in (build_graph([], []), build_graph(["a"], [])):
         assert g.reach_ceiling == graphs.ReachCeiling(bound=0, root=None, arc=0, radius=0)
+
+
+def _width_by_all_pairs(g):
+    """W(T) straight from its definition: the largest sum of deg - 1 over
+    the vertices of the path between any two vertices, plus one."""
+    deg = {v: len(g.adjacency[v]) for v in g.vertices}
+    best = 0
+    for a in g.vertices:
+        stack = [(a, None, deg[a] - 1)]
+        while stack:
+            v, parent, weight = stack.pop()
+            best = max(best, weight + 1)
+            stack += [(w, v, weight + deg[w] - 1) for w, _ in g.adjacency[v] if w != parent]
+    return best
+
+
+def _random_trees():
+    rng = random.Random(23)
+    trees = [gen_random_tree(n, seed) for n in range(2, 30) for seed in range(8)]
+    return trees + [_random_connected(rng, n, 0) for n in range(2, 16) for _ in range(8)]
+
+
+def test_tree_width_has_closed_forms_on_paths_and_stars():
+    # a path's inner vertices weigh 1 each; a star's path runs through the
+    # center, which weighs k - 1
+    for n in range(1, 30):
+        assert gen_path(n).tree_width.width == n, n
+    for k in range(1, 30):
+        assert gen_star(k).tree_width.width == k, k
+
+
+def test_tree_width_matches_a_brute_force_over_all_vertex_pairs():
+    """The two sweeps find the largest path weight; the path attains it and
+    runs between two leaves; the lift is an integer interval coloring that
+    uses 1 and W(T) and nothing outside them."""
+    for g in _random_trees():
+        tw = g.tree_width
+        assert tw.width == _width_by_all_pairs(g), g.edges
+        deg = {v: len(g.adjacency[v]) for v in g.vertices}
+        assert sum(deg[v] - 1 for v in tw.path) + 1 == tw.width
+        assert deg[tw.path[0]] == deg[tw.path[-1]] == 1
+        for u, v in zip(tw.path, tw.path[1:]):
+            assert v in {w for w, _ in g.adjacency[u]}
+        assert (min(tw.lift), max(tw.lift)) == (1, tw.width)
+        for v in g.vertices:
+            colors = sorted(tw.lift[e] for _, e in g.adjacency[v])
+            assert colors == list(range(colors[0], colors[0] + deg[v])), (g.edges, v)
+
+
+def test_tree_width_is_at_most_the_reach_ceiling():
+    for g in _random_trees():
+        assert g.tree_width.width <= g.reach_ceiling.bound, g.edges
+
+
+def test_tree_width_is_none_off_trees():
+    # |E| = |V| - 1, but a triangle and an edge apart
+    two_parts = build_graph(list("abcde"), [("a", "b"), ("c", "d"), ("d", "e"), ("c", "e")])
+    for g in (gen_cycle(5), gen_gm(2), _k4(), gen_complete_bipartite(2, 3), two_parts):
+        assert g.tree_width is None, g.edges
+    assert build_graph([], []).tree_width is None
+    lone = build_graph(["a"], [])
+    assert lone.tree_width == graphs.TreeWidth(width=0, path=("a",), lift=())

@@ -6,9 +6,11 @@ import concurrent.futures
 import dataclasses
 import inspect
 import itertools
+import json
 import os
 import pickle
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -22,7 +24,7 @@ from cycolor.coloring import (
     Coloring,
     check_cyclically_interval,
 )
-from cycolor.errors import BudgetError, InputError, UsageError
+from cycolor.errors import BudgetError, InputError, InternalError, UsageError
 from cycolor.families import (
     gen_complete_bipartite,
     gen_cycle,
@@ -59,8 +61,8 @@ def _reflect(c: Coloring) -> Coloring:
 
 def _searched(g, t, cfg=SolverConfig()):
     """The outcome of the search itself at t, run on the plan as `decide`
-    runs it but with no refutation by argument before it: the walks that
-    the node-count pins follow go on past the reach ceiling."""
+    runs it but with no answer by argument before it: the walks that the
+    node-count pins follow go on past the reach ceiling, and on trees."""
     plan = solver._plan(g)
     if cfg.symmetry_breaking:
         out, _ = solver._search(plan, t, solver._symmetry_rules(plan, t), cfg, plan.gt)
@@ -606,8 +608,8 @@ def test_node_counts_are_pinned():
     verdicts are backed by the brute-force oracle and the HiGHS references).
     A change that should leave the search alone, such as a faster prune
     test, must leave every count here unchanged. Where t is above the reach
-    ceiling, `decide` refutes it with no search, so the walk there is pinned
-    on the search itself (`_searched`).
+    ceiling, or the graph is a tree, `decide` answers with no search, so the
+    walk there is pinned on the search itself (`_searched`).
     """
     expected = [
         (gen_gm(2), {4: (COLORABLE, 8), 5: (COLORABLE, 18), 6: (COLORABLE, 38),
@@ -628,10 +630,9 @@ def test_node_counts_are_pinned():
         out = decide(gen_gm(2), t, unbroken) if t <= 6 else _searched(gen_gm(2), t, unbroken)
         assert (out.status, out.nodes) == (status, nodes), t
     # a tree whose twin class (11, 17) is chained in the plan, at 10k nodes;
-    # its reach ceiling is 15
+    # `decide` answers every t of a tree by its width, so all are searched here
     tree = gen_random_tree(20, 1)
     assert any(p < len(tree.edges) for p in solver._plan(tree).gt)
-    assert tree.reach_ceiling.bound == 15
     found = dict(zip(range(4, 14), (21, 27, 43, 33, 259, 135, 214, 2116, 3613, 2483)))
     found_unbroken = {**found, **dict(zip(range(8, 14), (435, 210, 290, 3508, 5323, 3077)))}
     over = (BUDGET_EXCEEDED, 10_001)
@@ -646,22 +647,24 @@ def test_node_counts_are_pinned():
                 else (NOT_COLORABLE, refuted[t]) if t in refuted
                 else over
             )  # fmt: skip
-            out = decide(tree, t, cfg) if t <= 15 else _searched(tree, t, cfg)
+            out = _searched(tree, t, cfg)
             assert (out.status, out.nodes) == want, (sym, t)
     # the chromatic-index search: an odd cycle has no proper 2-coloring
     for n, nodes in ((5, 4), (7, 6), (9, 8)):
         out = solver._proper_search(gen_cycle(n))
         assert (out.status, out.nodes) == (NOT_COLORABLE, nodes), n
-    out = decide(gen_path(1200), 1200, SolverConfig(node_budget=200_000))
+    out = _searched(gen_path(1200), 1200, SolverConfig(node_budget=200_000))
     assert (out.status, out.nodes) == (BUDGET_EXCEEDED, 200_001)
 
 
 def test_the_search_never_colors_above_the_reach_ceiling():
     """Every t above ρ that the search settles on its own, with no ceiling
     before it and within 20,000 nodes, it refutes: random connected graphs
-    of 3-12 vertices, a spanning tree plus up to three other edges."""
+    of 3-12 vertices, a spanning tree plus up to three other edges. `decide`
+    refutes each such t with no search: by the reach ceiling, or on a tree
+    by its width, which is at most ρ."""
     rng = random.Random(11)
-    refuted = 0
+    refuted = trees = 0
     for n in range(3, 13):
         for _ in range(30):
             names = [f"v{i}" for i in range(n)]
@@ -677,8 +680,10 @@ def test_the_search_never_colors_above_the_reach_ceiling():
                     refuted += out.status == NOT_COLORABLE
                 out = decide(g, t)
                 assert (out.status, out.nodes) == (NOT_COLORABLE, 0)
-                assert out.reason.startswith(f"t={t} exceeds reach ceiling")
-    assert refuted > 50
+                route = "tree width" if len(g.edges) == n - 1 else "reach ceiling"
+                assert out.reason.startswith(f"t={t} exceeds {route}"), (g.edges, t)
+                trees += route == "tree width"
+    assert refuted > 50 and trees  # 4 of the t are on trees
 
 
 def test_spectrum_of_gm7_is_refuted_by_the_reach_ceiling():
@@ -731,6 +736,123 @@ def test_the_reach_ceiling_is_computed_once_per_spectrum(tmp_path, monkeypatch):
         assert calls.read_text().split() == [str(os.getpid())], jobs
         assert pickle.loads(pickle.dumps(g)).reach_ceiling == g.reach_ceiling
         assert calls.read_text().split() == [str(os.getpid())], jobs
+
+
+def _spider():
+    """Three legs of two edges at c: |E| = 6, but W(T) = 5."""
+    legs = [("c", "a1"), ("a1", "a2"), ("c", "b1"), ("b1", "b2"), ("c", "d1"), ("d1", "d2")]
+    return build_graph(["c", "a1", "a2", "b1", "b2", "d1", "d2"], legs)
+
+
+def test_a_tree_is_decided_by_its_width_with_no_search():
+    """On a tree, every t in [Δ, W(T)] is the lift folded mod t, and every
+    t above W(T) is refuted by the width, both with 0 nodes."""
+    g = _spider()
+    assert g.tree_width == graphs.TreeWidth(
+        width=5, path=("a2", "a1", "c", "b1", "b2"), lift=(2, 1, 4, 5, 3, 4)
+    )
+    want = {3: (2, 1, 1, 2, 3, 1), 4: (2, 1, 4, 1, 3, 4), 5: (2, 1, 4, 5, 3, 4)}
+    for t, colors in want.items():
+        out = decide(g, t)
+        assert (out.status, out.nodes, out.coloring) == (COLORABLE, 0, Coloring(t, colors)), t
+        assert out.reason == f"interval coloring of tree width 5 folded mod {t}"
+    out = decide(g, 6)
+    assert (out.status, out.nodes, out.coloring) == (NOT_COLORABLE, 0, None)
+    assert out.reason == (
+        "t=6 exceeds tree width 5, the most edges at one path (a2 to b2):"
+        " a coloring lifted along the tree spans at most 5 colors"
+    )
+    assert _searched(g, 6).status == NOT_COLORABLE
+    # a fold is re-verified like every certificate
+    g.__dict__["tree_width"] = dataclasses.replace(g.tree_width, lift=(1, 1, 4, 5, 3, 4))
+    with pytest.raises(InternalError, match="certificate failed re-verification"):
+        decide(g, 5)
+
+
+def test_the_tree_rule_agrees_with_the_oracle():
+    for n in range(3, 8):
+        for seed in range(12):
+            g = gen_random_tree(n, seed)
+            for t in range(1, len(g.edges) + 1):
+                out = decide(g, t)
+                assert out.status == brute_force_decide(g, t).status, (g.edges, t)
+                assert out.nodes == 0
+
+
+def test_the_tree_rule_agrees_with_the_search():
+    """Every t in [Δ, |E|] of gen_random_tree(n, seed) for n = 3..13 and
+    seeds 0-29, 1,627 decisions, the search settles on its own within
+    100,000 nodes, and each answer is the tree rule's."""
+    settled = 0
+    for n in range(3, 14):
+        for seed in range(30):
+            g = gen_random_tree(n, seed)
+            for t in range(max(len(g.adjacency[v]) for v in g.vertices), len(g.edges) + 1):
+                out = decide(g, t)
+                assert out.nodes == 0
+                assert out.status == (COLORABLE if t <= g.tree_width.width else NOT_COLORABLE)
+                searched = _searched(g, t, SolverConfig(node_budget=100_000))
+                if searched.status != BUDGET_EXCEEDED:
+                    settled += 1
+                    assert searched.status == out.status, (g.edges, t)
+    assert settled == 1627
+
+
+def test_every_fold_of_a_tree_passes_the_checker_and_the_prefix_replay():
+    for n in range(2, 20):
+        for seed in range(5):
+            g = gen_random_tree(n, seed)
+            delta = max(len(g.adjacency[v]) for v in g.vertices)
+            for t in range(delta, g.tree_width.width + 1):
+                cert = decide(g, t).coloring
+                assert check_cyclically_interval(g, cert).ok, (g.edges, t)
+                assert certificate_prefix_survives(g, cert), (g.edges, t)
+
+
+def test_the_tree_rule_agrees_with_the_frozen_references():
+    """Every tree answer that bench/references.json has decided (by HiGHS
+    on the CNF encoding) is the tree rule's."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "references.json"
+    decided = 0
+    for key, ref in json.loads(path.read_text(encoding="utf-8"))["graphs"].items():
+        if key.startswith("tree-"):
+            _, n, seed = key.split("-")
+            g = gen_random_tree(int(n), int(seed))
+            assert len(g.edges) == ref["edges"], key
+            for t, want in ref["t"].items():
+                if want["status"] in (COLORABLE, NOT_COLORABLE):
+                    assert decide(g, int(t)).status == want["status"], (key, t)
+                    decided += 1
+    assert decided == 196
+
+
+def test_the_tree_width_is_computed_once_per_spectrum(tmp_path, monkeypatch):
+    """On a tree, `spectrum` computes the width once, before it decides any
+    t, and never the reach ceiling; the pickled graph sent to each worker
+    carries the width. Each computation appends its name and the computing
+    process's id to a file, so one in a worker would show too."""
+    calls = tmp_path / "calls"
+
+    def counted(name):
+        compute = getattr(graphs, name)
+
+        def count(g):
+            with calls.open("a") as f:
+                f.write(f"{name}:{os.getpid()}\n")
+            return compute(g)
+
+        monkeypatch.setattr(graphs, name, count)
+
+    counted("_tree_width")
+    counted("_reach_ceiling")
+    for jobs in (1, 2):
+        calls.write_text("")
+        g = gen_random_tree(12, 3)
+        res = spectrum(g, jobs=jobs)
+        assert all(o.nodes == 0 for o in res.outcomes.values())
+        assert calls.read_text().split() == [f"_tree_width:{os.getpid()}"], jobs
+        assert pickle.loads(pickle.dumps(g)).tree_width == g.tree_width
+        assert calls.read_text().split() == [f"_tree_width:{os.getpid()}"], jobs
 
 
 def test_gm3_top_of_the_window_is_refused_exhaustively():
@@ -904,5 +1026,8 @@ def test_window_kernel_matches_the_span_definition():
 
 
 def test_deep_graphs_do_not_exhaust_the_call_stack():
-    out = decide(gen_path(1200), 2)
+    out = _searched(gen_path(1200), 2)
+    assert (out.status, out.nodes) == (COLORABLE, 1200)
+    # a deep graph that is not a tree, which `decide` still searches
+    out = decide(gen_cycle(1200), 2)
     assert (out.status, out.nodes) == (COLORABLE, 1200)
