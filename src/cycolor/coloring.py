@@ -42,6 +42,14 @@ class Coloring:
     colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        t, colors = self.t, self.colors
+        # Fast path: a plain int t and a nonempty tuple of plain ints in
+        # [1, t], which the checks below accept. Anything else takes them,
+        # and they accept or refuse it with their message as before.
+        if type(t) is int and type(colors) is tuple and set(map(type, colors)) == {int}:
+            ordered = sorted(colors)
+            if 1 <= ordered[0] and ordered[-1] <= t:
+                return
         if not isinstance(self.t, int) or isinstance(self.t, bool) or self.t < 1:
             raise InputError(f"t must be a positive integer, got {self.t!r}")
         for idx, c in enumerate(self.colors):
@@ -95,24 +103,6 @@ def check_cyclically_interval(g: Graph, c: Coloring) -> Verdict:
 _PASS = Verdict(ok=True, failures=())
 
 
-def _is_plain_interval(mask: int) -> bool:
-    """Whether a palette bitmask is a nonempty run of consecutive colors."""
-    if not mask:
-        return False
-    run = mask // (mask & -mask)  # the lowest color moved down to bit 0
-    return run & (run + 1) == 0
-
-
-def _palette_admissible(mask: int, full: int) -> bool:
-    """Condition (a): palette is an interval; or (b): its complement is.
-
-    An empty complement counts under (a) since the full palette [1, t] is
-    itself an interval.
-    """
-    comp = full ^ mask
-    return _is_plain_interval(mask) or not comp or _is_plain_interval(comp)
-
-
 def _members(mask: int) -> list[int]:
     """The colors in a palette bitmask (bit c = color c), ascending, in one
     pass over its binary digits."""
@@ -147,8 +137,18 @@ def _scan(g: Graph, c: Coloring, palettes: bool) -> Verdict:
         used |= mask
         if mask.bit_count() != len(incident):
             clashes.append((v, incident))
-        if palettes and not _palette_admissible(mask, full):
-            bad.append((v, mask))
+        # Condition (a): the palette is a run of consecutive colors; or
+        # (b): its complement in [1, t] is, or is empty, since the full
+        # palette is itself a run. A mask in bits 1..t that is no run is
+        # not full, so its complement is not empty. An edgeless vertex's
+        # empty palette has the full complement.
+        if palettes and mask:
+            run = mask // (mask & -mask)  # the lowest color moved down to bit 0
+            if run & (run + 1):
+                comp = full ^ mask
+                run = comp // (comp & -comp)
+                if run & (run + 1):
+                    bad.append((v, mask))
     if not clashes and not bad and used == full:
         return _PASS
 

@@ -86,10 +86,10 @@ class TreeWidth:
 class Graph:
     """Immutable graph. `adjacency` maps each vertex to (neighbor, edge_index) pairs.
 
-    Properties derived from the structure (`incidence`, `twin_classes`,
-    `connected`, `reach_ceiling`, `tree_width`) are computed on first use
-    and kept, since the graph never changes; a pickled copy carries the
-    ones computed.
+    Properties derived from the structure (`incidence`, `max_degree`,
+    `twin_classes`, `connected`, `reach_ceiling`, `tree_width`) are
+    computed on first use and kept, since the graph never changes; a
+    pickled copy carries the ones computed.
     """
 
     vertices: tuple[str, ...]
@@ -100,6 +100,11 @@ class Graph:
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """The incident edge indices of each vertex, in vertex order."""
         return tuple(tuple(idx for _, idx in self.adjacency[v]) for v in self.vertices)
+
+    @functools.cached_property
+    def max_degree(self) -> int:
+        """Δ, the largest vertex degree; 0 without vertices."""
+        return max(map(len, self.incidence), default=0)
 
     @functools.cached_property
     def twin_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -218,6 +223,8 @@ def _tree_width(g: Graph) -> TreeWidth:
     width = low + degree[b] - 1
     while hung:
         v, low = hung.pop()
+        if degree[v] == 1:  # a leaf's one edge is colored already
+            continue
         todo = [(w, e) for w, e in nbrs[v] if not lift[e]]
         free = set(range(low, low + degree[v])).difference(lift[e] for _, e in nbrs[v])
         for (w, e), c in zip(todo, sorted(free)):
@@ -296,9 +303,7 @@ def require_match(g: Graph, coloring) -> None:
 
 
 def max_degree(g: Graph) -> int:
-    if not g.vertices:
-        return 0
-    return max(len(g.adjacency[v]) for v in g.vertices)
+    return g.max_degree
 
 
 def is_connected(g: Graph) -> bool:

@@ -11,10 +11,13 @@ search over edge assignments with three sound prunes:
   (iii) the number of still-unassigned edges must cover the number of
         still-unused colors (surjectivity).
 
-Every search reads one plan of the graph (`_plan`). It places edges in a
-connected depth-first order from the first vertex of maximum degree: its
-edges come first, and every later edge shares a vertex with an earlier
-one, so prunes (i) and (ii) judge each palette from its first edge on.
+Every search reads one plan of the graph (`_plan`), built on the graph's
+first search and kept with it (`_plan_of`): a spectrum builds one plan,
+and only if some t searches, and its worker processes receive it with the
+graph. The plan places edges in a connected depth-first order from the
+first vertex of maximum degree: its edges come first, and every later
+edge shares a vertex with an earlier one, so prunes (i) and (ii) judge
+each palette from its first edge on.
 
 Symmetry breaking (`_symmetry_rules`) keeps one image of each valid
 coloring under color rotation and the permutations of false twins
@@ -278,6 +281,16 @@ def _plan(g: Graph) -> _Plan:
     return _Plan(tuple(order), eu, ev, degree, tuple(gt), min(firsts_at_h, default=0))
 
 
+def _plan_of(g: Graph) -> _Plan:
+    """g's plan: built by `_plan` on first use and kept in the graph's
+    instance dict beside its cached properties, so every search of one graph
+    reads one plan, and a pickled copy sent to a worker carries it."""
+    plan = g.__dict__.get("_search_plan")
+    if plan is None:
+        plan = g.__dict__["_search_plan"] = _plan(g)
+    return plan
+
+
 def _symmetry_rules(plan: _Plan, t: int) -> list[int]:
     """The `allowed` of `_search` under symmetry breaking, for t from the
     max degree Δ to |E| on a connected graph; its `gt` is plan.gt.
@@ -419,19 +432,15 @@ def _search(
     return SearchOutcome(COLORABLE, nodes=nodes), placed
 
 
-def _certified(
-    g: Graph, order: list[int], t: int, outcome: SearchOutcome, placed: list[int], check: Callable
-) -> SearchOutcome:
-    """A search's outcome with its coloring: the colors `_search` placed
-    along `order`, re-verified by the checker `check` (`check_proper` or
-    `check_cyclically_interval`). Any other outcome is returned as it is."""
-    if outcome.status != COLORABLE:
-        return outcome
+def _certificate(
+    g: Graph, order: tuple[int, ...], t: int, placed: list[int], check: Callable
+) -> Coloring:
+    """The coloring a COLORABLE `_search` placed along `order`, re-verified
+    by the checker `check` (`check_proper` or `check_cyclically_interval`)."""
     colors = [0] * len(order)
     for p, e in enumerate(order):
         colors[e] = placed[p].bit_length()
-    cert = _reverified(g, Coloring(t=t, colors=tuple(colors)), check)
-    return SearchOutcome(COLORABLE, coloring=cert, nodes=outcome.nodes)
+    return _reverified(g, Coloring(t=t, colors=tuple(colors)), check)
 
 
 def _reverified(g: Graph, cert: Coloring, check: Callable) -> Coloring:
@@ -453,45 +462,42 @@ def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcom
         raise InputError("decide accepts connected graphs only")
     n_edges = len(g.edges)
     delta = max_degree(g)
+    coloring, nodes = None, 0
     if t < delta:
-        out = SearchOutcome(
-            NOT_COLORABLE, reason=f"t={t} below max degree {delta}: properness impossible"
-        )
+        status, reason = NOT_COLORABLE, f"t={t} below max degree {delta}: properness impossible"
     elif t > n_edges:
-        out = SearchOutcome(
-            NOT_COLORABLE,
-            reason=f"t={t} exceeds edge count {n_edges}: some color must go unused",
-        )
+        status = NOT_COLORABLE
+        reason = f"t={t} exceeds edge count {n_edges}: some color must go unused"
     elif (tree := g.tree_width) is not None:
         if t > tree.width:
-            out = SearchOutcome(
-                NOT_COLORABLE,
-                reason=f"t={t} exceeds tree width {tree.width}, the most edges at one path"
+            status = NOT_COLORABLE
+            reason = (
+                f"t={t} exceeds tree width {tree.width}, the most edges at one path"
                 f" ({tree.path[0]} to {tree.path[-1]}): a coloring lifted along the tree"
-                f" spans at most {tree.width} colors",
+                f" spans at most {tree.width} colors"
             )
         else:
-            folded = Coloring(t=t, colors=tuple((c - 1) % t + 1 for c in tree.lift))
-            out = SearchOutcome(
-                COLORABLE,
-                coloring=_reverified(g, folded, check_cyclically_interval),
-                reason=f"interval coloring of tree width {tree.width} folded mod {t}",
-            )
+            status = COLORABLE
+            reason = f"interval coloring of tree width {tree.width} folded mod {t}"
+            folded = Coloring(t=t, colors=tuple([(c - 1) % t + 1 for c in tree.lift]))
+            coloring = _reverified(g, folded, check_cyclically_interval)
     elif t > (ceiling := g.reach_ceiling).bound:
-        out = SearchOutcome(
-            NOT_COLORABLE,
-            reason=f"t={t} exceeds reach ceiling {ceiling.bound}: every color lies within"
+        status = NOT_COLORABLE
+        reason = (
+            f"t={t} exceeds reach ceiling {ceiling.bound}: every color lies within"
             f" {ceiling.radius} of the {ceiling.arc}-color arc of {ceiling.root},"
-            f" so t <= {ceiling.bound}",
+            f" so t <= {ceiling.bound}"
         )
     else:
-        plan = _plan(g)
+        plan = _plan_of(g)
         if cfg.symmetry_breaking:
             outcome, placed = _search(plan, t, _symmetry_rules(plan, t), cfg, plan.gt)
         else:
             outcome, placed = _search(plan, t, [(1 << t) - 1] * n_edges, cfg)
-        out = _certified(g, plan.order, t, outcome, placed, check_cyclically_interval)
-    return replace(out, seconds=time.perf_counter() - start)
+        status, reason, nodes = outcome.status, outcome.reason, outcome.nodes
+        if status == COLORABLE:
+            coloring = _certificate(g, plan.order, t, placed, check_cyclically_interval)
+    return SearchOutcome(status, coloring, reason, nodes, time.perf_counter() - start)
 
 
 def certificate_prefix_survives(g: Graph, cert: Coloring) -> bool:
@@ -508,7 +514,7 @@ def certificate_prefix_survives(g: Graph, cert: Coloring) -> bool:
     if not is_connected(g):  # the edge order covers one component only
         raise InputError("certificate_prefix_survives accepts connected graphs only")
     require_match(g, cert)
-    plan = _plan(g)
+    plan = _plan_of(g)
     allowed = [1 << (cert.colors[e] - 1) for e in plan.order]
     outcome, _ = _search(plan, cert.t, allowed, SolverConfig())
     return outcome.status == COLORABLE
@@ -676,29 +682,32 @@ def _proper_search(g: Graph) -> SearchOutcome:
     by `check_proper`.
     """
     delta = max_degree(g)
-    plan = _plan(g)
+    plan = _plan_of(g)
     allowed = [(1 << delta) - 1] * len(plan.order)
     allowed[0] = 1  # color rotation: the first edge may as well take color 1
     saturated = replace(plan, degree=(delta,) * len(plan.degree))
     outcome, placed = _search(saturated, delta, allowed, SolverConfig())
-    return _certified(g, plan.order, delta, outcome, placed, check_proper)
+    if outcome.status != COLORABLE:
+        return outcome
+    return replace(outcome, coloring=_certificate(g, plan.order, delta, placed, check_proper))
 
 
 def chromatic_index(g: Graph) -> int:
     """Exact minimum number of colors in a proper edge coloring.
 
-    Bipartite graphs need exactly max-degree colors; everything else needs
-    max-degree or one more (Vizing), decided by an exact search for a
-    proper coloring in max-degree colors (`_proper_search`). Connected
-    graphs with at least one edge only. The search path refuses
-    non-bipartite graphs with more than 64 edges.
+    Bipartite graphs, trees among them, need exactly max-degree colors;
+    everything else needs max-degree or one more (Vizing), decided by an
+    exact search for a proper coloring in max-degree colors
+    (`_proper_search`). Connected graphs with at least one edge only. The
+    search path refuses non-bipartite graphs with more than 64 edges.
     """
     if not g.edges:
         raise InputError("chromatic index needs at least one edge")
     if not is_connected(g):
         raise InputError("chromatic index requires a connected graph")
     delta = max_degree(g)
-    if isinstance(bipartition(g), Bipartition):
+    # a tree is bipartite, and spectrum has its width already
+    if g.tree_width is not None or isinstance(bipartition(g), Bipartition):
         return delta
     if len(g.edges) > _CHROMATIC_INDEX_EDGE_LIMIT:
         raise BudgetError(
@@ -723,8 +732,9 @@ def spectrum(
     the chromatic index it finds no proper coloring. Ranges outside the
     window are clamped with a warning; a range left empty is a UsageError.
     Each t is decided independently, against one tree width (on a tree) or
-    reach ceiling (on any other graph) computed before any t is decided;
-    jobs > 1 fans them out to at most min(jobs, number of t, CPU count)
+    reach ceiling and one search plan (on any other graph; the plan only
+    if some t searches) computed before any t is decided; jobs > 1 fans
+    them out to at most min(jobs, number of t, CPU count)
     worker processes. t_min, t_max and jobs other than a positive integer
     are a UsageError.
     """
@@ -754,9 +764,10 @@ def spectrum(
         )
     ts = list(range(lo, hi + 1))
     # computed once here, so every pickled copy sent to a worker carries
-    # it; no t of a tree reads the reach ceiling
-    if g.tree_width is None:
-        g.reach_ceiling
+    # them: no t of a tree reads the reach ceiling, and the plan is built
+    # only if some t searches, that is, if t_min is within the ceiling
+    if g.tree_width is None and lo <= g.reach_ceiling.bound:
+        _plan_of(g)
     tasks = (itertools.repeat(g), ts, itertools.repeat(cfg))
     # the pool forks all its workers up front, so start no more than can run
     workers = min(jobs, len(ts), os.cpu_count() or 1)

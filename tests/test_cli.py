@@ -12,11 +12,11 @@ import pytest
 
 from cycolor import cli
 from cycolor import coloring as coloring_mod
-from cycolor import graphs
+from cycolor import graphs, solver
 from cycolor.cli import EXIT_BUDGET, EXIT_CHECKED_FALSE, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from cycolor.coloring import check_cyclically_interval
 from cycolor.errors import BudgetError, InputError, InternalError, UsageError
-from cycolor.families import gen_cycle, gen_gm, gen_path
+from cycolor.families import gen_cycle, gen_gm, gen_path, gen_random_tree
 
 
 def _write_graph(tmp_path, g, name="graph.json"):
@@ -231,6 +231,40 @@ def test_spectrum_payload(tmp_path, capsys):
         seconds = payload["outcomes"][t]["seconds"]
         assert isinstance(seconds, float) and seconds > 0
         assert f"t={t:>4}  colorable" in captured.err and f"{seconds:.3f} s" in captured.err
+
+
+@pytest.mark.parametrize("g", [gen_gm(2), gen_random_tree(12, 3)], ids=["gm-2", "tree"])
+def test_spectrum_payload_is_one_compact_line(tmp_path, capsys, g):
+    """Through --out and through stdout, `spectrum` writes its payload as
+    one line of compact JSON, which parses to the solver's spectrum apart
+    from each t's seconds."""
+    gp = _write_graph(tmp_path, g)
+    res = solver.spectrum(g, graph_id="g")
+    want = {
+        "graph_id": "g",
+        "t_min": res.t_min,
+        "t_max": res.t_max,
+        "outcomes": {
+            str(t): {
+                "status": o.status,
+                "reason": o.reason,
+                "nodes": o.nodes,
+                "coloring": None if o.coloring is None else coloring_mod.to_dict(o.coloring),
+            }
+            for t, o in res.outcomes.items()
+        },
+    }
+    out = tmp_path / "s.json"
+    argv = ["spectrum", "--graph", gp, "--graph-id", "g"]
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    for text in (out.read_text(encoding="utf-8"), capsys.readouterr().out):
+        payload = json.loads(text)
+        assert text == json.dumps(payload) + "\n"
+        for o in payload["outcomes"].values():
+            assert isinstance(o.pop("seconds"), float)
+        assert payload == want
 
 
 def test_spectrum_clamped_range_warns_in_one_plain_line(tmp_path, capsys):

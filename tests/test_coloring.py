@@ -33,6 +33,23 @@ def test_coloring_validation():
         Coloring(2, (1, 3))
     with pytest.raises(InputError, match='color 0 at edge 0 outside'):
         Coloring(2, (0,))
+    # a bool, a float or a str is no color, and a float is no t, even where
+    # it equals an int in range
+    with pytest.raises(InputError, match=r'color True at edge 1 outside \[1, 2\]'):
+        Coloring(2, (1, True))
+    with pytest.raises(InputError, match=r'color 2.0 at edge 1 outside \[1, 2\]'):
+        Coloring(2, (1, 2.0))
+    with pytest.raises(InputError, match=r"color '1' at edge 0 outside \[1, 2\]"):
+        Coloring(2, ("1", 2))
+    with pytest.raises(InputError, match='t must be a positive integer, got 2.0'):
+        Coloring(2.0, (1, 2))
+
+    class Color(int):
+        pass
+
+    # an int subclass other than bool is an int, as a color and as t
+    assert Coloring(2, (Color(1), 2)).colors == (1, 2)
+    assert Coloring(Color(2), (2, Color(1))).t == 2
 
 
 def test_palette_examples():

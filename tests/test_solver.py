@@ -855,6 +855,55 @@ def test_the_tree_width_is_computed_once_per_spectrum(tmp_path, monkeypatch):
         assert calls.read_text().split() == [f"_tree_width:{os.getpid()}"], jobs
 
 
+def _tree_plus_one_edge():
+    """A random tree with one edge more, between the first two vertices
+    that are not adjacent: a connected graph with one cycle."""
+    tree = gen_random_tree(12, 3)
+    edges = {frozenset(e) for e in tree.edges}
+    u, w = next(p for p in itertools.combinations(tree.vertices, 2) if frozenset(p) not in edges)
+    return build_graph(list(tree.vertices), [*tree.edges, (u, w)])
+
+
+@pytest.mark.parametrize(
+    "make, builds",
+    [
+        (lambda: gen_gm(2), 1),
+        (lambda: gen_gm(3), 1),
+        (lambda: gen_cycle(5), 1),  # chromatic_index searches it, and t=4 too
+        (lambda: gen_complete_bipartite(2, 3), 1),
+        (_tree_plus_one_edge, 1),
+        (lambda: gen_random_tree(12, 3), 0),  # no t of a tree searches
+        (lambda: gen_gm(7), 0),  # every t of its window is above ρ = 45
+    ],
+    ids=["gm-2", "gm-3", "C5", "K(2,3)", "tree+edge", "tree", "gm-7"],
+)
+def test_spectrum_builds_one_plan_per_graph(tmp_path, monkeypatch, make, builds):
+    """`spectrum` builds the search plan at most once, and only if some t
+    searches; `chromatic_index`'s search, every t and every worker read
+    that one plan. Each build appends the building process's id to a file,
+    so one in a worker (which inherits the counting function when it is
+    forked) would show too. Every outcome equals `decide` called alone on
+    a fresh copy of the graph."""
+    calls = tmp_path / "calls"
+    build = solver._plan
+
+    def counted(g):
+        with calls.open("a") as f:
+            f.write(f"{os.getpid()}\n")
+        return build(g)
+
+    monkeypatch.setattr(solver, "_plan", counted)
+    results = []
+    for jobs in (1, 2):
+        calls.write_text("")
+        results.append(spectrum(make(), jobs=jobs))
+        assert calls.read_text().split() == [str(os.getpid())] * builds, jobs
+    alone = {t: decide(make(), t) for t in results[0].outcomes}
+    for res in results:
+        # outcomes compare by status, coloring, reason and nodes
+        assert res.outcomes == alone
+
+
 def test_gm3_top_of_the_window_is_refused_exhaustively():
     """With rotation and twin ordering, the search refutes the last two t of
     gm(3) in a few hundred thousand nodes. `decide` refutes both by the
