@@ -27,17 +27,13 @@ from .graphs import (
     NotBipartite,
     bipartition,
     build_graph,
-    is_connected,
-    max_degree,
 )
 from .intervals import (
     ColorSet,
     CyclicIntervalSpec,
     cyclic_span,
-    intcyc,
     intcyc_contains,
     is_cyclic_interval,
-    union_of_chained_arcs,
 )
 from .solver import (
     BUDGET_EXCEEDED,
@@ -93,14 +89,10 @@ __all__ = [
     "gen_path",
     "gen_random_tree",
     "gen_star",
-    "intcyc",
     "intcyc_contains",
-    "is_connected",
     "is_cyclic_interval",
-    "max_degree",
     "palette",
     "spectrum",
-    "union_of_chained_arcs",
 ]
 
 __version__ = "0.1.0"

@@ -36,7 +36,7 @@ from operator import add
 
 from .coloring import Coloring, check_cyclically_interval
 from .errors import BudgetError, InputError, require_positive_int
-from .graphs import Graph, is_connected
+from .graphs import Graph
 from .intervals import arc_masks
 
 # encode refuses a formula of more clauses than this: about ten times the
@@ -145,7 +145,7 @@ def _clause_count(g: Graph, t: int) -> int:
 
 def encode(g: Graph, t: int) -> CnfEncoding:
     require_positive_int("t", t)
-    if not is_connected(g):
+    if not g.connected:
         raise InputError("CNF export accepts connected graphs only")
     n_clauses = _clause_count(g, t)
     if n_clauses > CLAUSE_CAP:

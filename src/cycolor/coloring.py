@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import BudgetError, InputError, UsageError
-from .graphs import Graph, is_connected, require_match
+from .graphs import Graph, require_match
 from .intervals import ColorSet
 
 KIND_NOT_PROPER = "not-proper"
@@ -71,7 +71,7 @@ class Verdict:
 
 
 def _require_connected(g: Graph) -> None:
-    if not is_connected(g):
+    if not g.connected:
         raise InputError("checkers accept connected graphs only")
 
 

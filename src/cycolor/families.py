@@ -18,9 +18,10 @@ Hub edges come first, (p, q)-lexicographic; then for each pair (i, j) in
 lexicographic order and each q = 1..m, the edge to y_{i,q} and then the
 edge to y_{j,q}.
 
-Every generator checks the closed-form edge count of the graph it is asked
-for against EDGE_CAP before it builds anything, and refuses a larger graph
-with a BudgetError.
+Every generator refuses a size that is not an integer in range, a bool
+included, with a UsageError. It then checks the closed-form edge count of
+the graph it is asked for against EDGE_CAP before it builds anything, and
+refuses a larger graph with a BudgetError.
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ from .graphs import Graph, build_graph
 
 # A built graph holds about 1 kB per edge, so no generator builds more edges.
 EDGE_CAP = 100_000
+
+
+def _require_size(need: str, least: int, *sizes) -> None:
+    """Refuse sizes that are not all integers of at least `least`; a bool
+    is not a size, though Python counts it as an int."""
+    if not all(isinstance(n, int) and not isinstance(n, bool) and n >= least for n in sizes):
+        raise UsageError(f"{need}, got {', '.join(map(repr, sizes))}")
 
 
 def _require_edge_count(graph: str, edges: int) -> None:
@@ -59,8 +67,7 @@ def gen_gm(m: int) -> Graph:
     with the hub and all pair vertices on one side, the grid on the other;
     the hub has degree m^2, pair vertices 2m, grid vertices m.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise UsageError(f"m must be an integer >= 2, got {m!r}")
+    _require_size("m must be an integer >= 2", 2, m)
     _require_edge_count(f"gm({m})", m**3)
     vertices = [hub_label()]
     vertices += [pair_label(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
@@ -80,8 +87,7 @@ def gen_gm(m: int) -> Graph:
 
 def gen_path(n: int) -> Graph:
     """Path with n edges (n + 1 vertices v1..v{n+1})."""
-    if n < 1:
-        raise UsageError(f"path needs >= 1 edge, got {n}")
+    _require_size("path needs >= 1 edge", 1, n)
     _require_edge_count(f"path({n})", n)
     vertices = [f"v{k}" for k in range(1, n + 2)]
     edges = [(f"v{k}", f"v{k + 1}") for k in range(1, n + 1)]
@@ -90,8 +96,7 @@ def gen_path(n: int) -> Graph:
 
 def gen_cycle(n: int) -> Graph:
     """Cycle on n >= 3 vertices v1..vn."""
-    if n < 3:
-        raise UsageError(f"cycle needs >= 3 vertices, got {n}")
+    _require_size("cycle needs >= 3 vertices", 3, n)
     _require_edge_count(f"cycle({n})", n)
     vertices = [f"v{k}" for k in range(1, n + 1)]
     edges = [(f"v{k}", f"v{k + 1}") for k in range(1, n)]
@@ -101,8 +106,7 @@ def gen_cycle(n: int) -> Graph:
 
 def gen_star(n: int) -> Graph:
     """Star with n >= 1 leaves: center "c", leaves l1..ln."""
-    if n < 1:
-        raise UsageError(f"star needs >= 1 leaf, got {n}")
+    _require_size("star needs >= 1 leaf", 1, n)
     _require_edge_count(f"star({n})", n)
     vertices = ["c"] + [f"l{k}" for k in range(1, n + 1)]
     edges = [("c", f"l{k}") for k in range(1, n + 1)]
@@ -111,8 +115,7 @@ def gen_star(n: int) -> Graph:
 
 def gen_complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with parts a1..a{a} and b1..b{b}, edges in (i, j) lex order."""
-    if a < 1 or b < 1:
-        raise UsageError(f"both sides need >= 1 vertex, got {a}, {b}")
+    _require_size("both sides need >= 1 vertex", 1, a, b)
     _require_edge_count(f"K({a}, {b})", a * b)
     vertices = [f"a{i}" for i in range(1, a + 1)] + [f"b{j}" for j in range(1, b + 1)]
     edges = [(f"a{i}", f"b{j}") for i in range(1, a + 1) for j in range(1, b + 1)]
@@ -127,8 +130,7 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     with randrange(n), fixed here so a seed reproduces the same tree in any
     environment running this artifact version.
     """
-    if n < 1:
-        raise UsageError(f"tree needs >= 1 vertex, got {n}")
+    _require_size("tree needs >= 1 vertex", 1, n)
     _require_edge_count(f"tree({n})", n - 1)
     vertices = [f"v{k}" for k in range(1, n + 1)]
     if n == 1:

@@ -25,16 +25,17 @@ v of a path of deg(v) - 1, plus one, which is the number of edges at the
 path. A tree is cyclically interval t-colorable exactly when
 Δ <= t <= W(T). The width comes from two sweeps, each to the leaf farthest
 from where it starts, with vertex weights deg - 1; leaves weigh 0, so the
-second sweep ends a path of largest weight. The coloring gives each
-vertex a palette of deg consecutive integers that starts at the color of
-the edge it is reached by (the path's first vertex starts at 1). Along the
-path the next path edge takes the palette's top color, so the colors
-climb from 1 to W(T); every other edge is hung from its parent edge,
-outward from the path. Two colors of an integer interval coloring differ
-by at most the sum of deg - 1 over the vertices between their edges, which
-is at most W(T) - 1, so every color stays in [1, W(T)]. That coloring
-folded mod t is a cyclically interval t-coloring for every t in
-[Δ, W(T)].
+second sweep ends a path of largest weight. The coloring comes from one
+walk down from the path's first vertex a, along the second sweep's parent
+pointers. Each vertex's palette is deg consecutive integers that starts
+at the color of the edge that reaches it (a's starts at 1). The child
+toward the path's far end takes the palette's top color, so the colors
+along the path climb from 1 to W(T), and the other children take the
+next colors up, in adjacency order. Two colors of an integer interval
+coloring differ by at most the sum of deg - 1 over the vertices between
+their edges, which is at most W(T) - 1, so every color stays in
+[1, W(T)]. That coloring folded mod t is a cyclically interval
+t-coloring for every t in [Δ, W(T)].
 """
 
 from __future__ import annotations
@@ -200,7 +201,8 @@ def _reach_radius(nbrs: list[list[int]], weight: list[int], h: int, cutoff: floa
 
 
 def _tree_width(g: Graph) -> TreeWidth:
-    """Two sweeps from the first vertex, then the coloring along the path."""
+    """Two sweeps from the first vertex, then one walk down from the path's
+    end a that colors every edge."""
     if not g.edges:
         return TreeWidth(width=0, path=g.vertices, lift=())
     vid = {v: i for i, v in enumerate(g.vertices)}
@@ -209,27 +211,28 @@ def _tree_width(g: Graph) -> TreeWidth:
     a, _ = _farthest_leaf(nbrs, degree, 0)
     b, parent = _farthest_leaf(nbrs, degree, a)
     path = [b]
+    toward = [-1] * len(nbrs)  # each path vertex's child toward b
     while path[-1] != a:
+        toward[parent[path[-1]]] = path[-1]
         path.append(parent[path[-1]])
     path.reverse()
-    lift = [0] * len(g.edges)  # 0: not colored yet; every color is at least 1
-    hung = []  # (vertex, the lowest color of its palette)
-    low = 1
-    for v, w in zip(path, path[1:]):
-        hung.append((v, low))
-        e = next(e for x, e in nbrs[v] if x == w)
-        low = lift[e] = low + degree[v] - 1
-    hung.append((b, low))
-    width = low + degree[b] - 1
-    while hung:
-        v, low = hung.pop()
-        if degree[v] == 1:  # a leaf's one edge is colored already
-            continue
-        todo = [(w, e) for w, e in nbrs[v] if not lift[e]]
-        free = set(range(low, low + degree[v])).difference(lift[e] for _, e in nbrs[v])
-        for (w, e), c in zip(todo, sorted(free)):
+    lift = [0] * len(g.edges)
+    stack = [(a, 1)]  # (vertex, the color of the edge that reaches it)
+    while stack:
+        v, low = stack.pop()
+        top = low + degree[v] - 1
+        for w, e in nbrs[v]:
+            if w == parent[v]:
+                continue
+            if w == toward[v]:
+                c = top
+            else:
+                low += 1
+                c = low
             lift[e] = c
-            hung.append((w, c))
+            if degree[w] > 1:  # a leaf has no edge left to color
+                stack.append((w, c))
+    width = lift[nbrs[b][0][1]]  # b is a leaf: its one edge takes the top color
     return TreeWidth(width=width, path=tuple(g.vertices[v] for v in path), lift=tuple(lift))
 
 
@@ -302,21 +305,13 @@ def require_match(g: Graph, coloring) -> None:
         )
 
 
-def max_degree(g: Graph) -> int:
-    return g.max_degree
-
-
-def is_connected(g: Graph) -> bool:
-    return g.connected
-
-
 def bipartition(g: Graph) -> Union[Bipartition, NotBipartite]:
     """Two-color the vertices by BFS, or return an odd cycle as a witness.
 
     Requires a connected graph. Sides are canonical: `left` is the side
     containing the first vertex.
     """
-    if not is_connected(g):
+    if not g.connected:
         raise InputError("bipartition requires a connected graph")
     if not g.vertices:
         return Bipartition(frozenset(), frozenset())

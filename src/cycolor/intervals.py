@@ -10,10 +10,12 @@ flag:
     variant 2, open   : [1, t] minus the closed variant-1 set
     variant 2, closed : [1, t] minus the open variant-1 set
 
-A nonempty Q subset of [1, t] is a t-cyclic interval when it equals some
-closed variant, which is the same as saying Q is an arc of the cycle on
-colors 1..t. Open variants may be empty; the arc predicate rejects the
-empty set.
+A `CyclicIntervalSpec` names one of these sets and `intcyc_contains`
+tests a color's membership in it; no set is ever built, so t may be as
+large as the caller likes. A nonempty Q subset of [1, t] is a t-cyclic
+interval when it equals some closed variant, which is the same as saying
+Q is an arc of the cycle on colors 1..t. Open variants may be empty; the
+arc predicate rejects the empty set.
 
 The one analytic arc is a scan of the runs of absent colors between
 cyclically consecutive members (`_gaps`). `cyclic_span` is t minus the
@@ -27,13 +29,9 @@ formulation on purpose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .errors import BudgetError, InputError, UsageError
-
-# Materializing a ColorSet over a huge universe is a programming error;
-# membership queries (intcyc_contains) have no such cap.
-MAX_MATERIALIZED_T = 10**6
+from .errors import InputError, UsageError
 
 
 @dataclass(frozen=True)
@@ -84,29 +82,9 @@ class CyclicIntervalSpec:
                 raise UsageError(f"{name}={value} outside [1, {self.t}]")
 
 
-def intcyc(spec: CyclicIntervalSpec) -> ColorSet:
-    """Materialize the set named by `spec`. May be empty for open variants."""
-    if spec.t > MAX_MATERIALIZED_T:
-        raise BudgetError(
-            f"refusing to materialize a set over [1, {spec.t}]; "
-            f"use intcyc_contains for membership"
-        )
-    lo, hi = min(spec.i1, spec.i2), max(spec.i1, spec.i2)
-    closed1 = frozenset(range(lo, hi + 1))
-    full = frozenset(range(1, spec.t + 1))
-    if spec.j0 == 1:
-        members = closed1 if spec.closed else closed1 - {spec.i1, spec.i2}
-    else:
-        # variant 2 complements the *other* openness of variant 1
-        members = full - (closed1 - {spec.i1, spec.i2}) if spec.closed else full - closed1
-    return ColorSet(spec.t, members)
-
-
 def intcyc_contains(spec: CyclicIntervalSpec, color: int) -> bool:
-    """Membership test for the set named by `spec`, without materializing it.
-
-    Safe for arbitrarily large t. Colors outside [1, t] are never members.
-    """
+    """Membership test for the set named by `spec`, in constant time for
+    any t. Colors outside [1, t] are never members."""
     if not 1 <= color <= spec.t:
         return False
     lo, hi = min(spec.i1, spec.i2), max(spec.i1, spec.i2)
@@ -193,24 +171,3 @@ def arc_masks(length: int, t: int) -> list[int]:
     full = (1 << t) - 1
     return [(run << s | run >> (t - s)) & full for s in range(t)]
 
-
-def union_of_chained_arcs(arcs: list[ColorSet], t: int) -> Optional[ColorSet]:
-    """Union a chain of arcs in which consecutive members overlap.
-
-    Every input must be a t-cyclic interval and consecutive inputs must
-    intersect, else InputError. Returns the union when it is itself a
-    t-cyclic interval, or None when the overlaps wrap the cycle in a way
-    that leaves holes. A union of total size < t never returns None.
-    """
-    if not arcs:
-        raise InputError("empty chain")
-    for pos, arc in enumerate(arcs):
-        if arc.t != t:
-            raise InputError(f"arc {pos} has universe {arc.t}, expected {t}")
-        if not is_cyclic_interval(arc):
-            raise InputError(f"arc {pos} is not a {t}-cyclic interval: {arc.sorted_members()}")
-    for pos, (a, b) in enumerate(zip(arcs, arcs[1:])):
-        if not a.members & b.members:
-            raise InputError(f"chain broken between arcs {pos} and {pos + 1}")
-    union = ColorSet(t, frozenset().union(*(a.members for a in arcs)))
-    return union if is_cyclic_interval(union) else None

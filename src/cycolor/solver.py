@@ -120,7 +120,7 @@ from typing import Callable, Optional
 
 from .coloring import Coloring, check_cyclically_interval, check_proper
 from .errors import BudgetError, InputError, InternalError, UsageError, require_positive_int
-from .graphs import Bipartition, Graph, bipartition, is_connected, max_degree, require_match
+from .graphs import Bipartition, Graph, bipartition, require_match
 from .intervals import ColorSet, arc_masks, arc_window, cyclic_span, mask_colors
 
 COLORABLE = "colorable"
@@ -458,10 +458,10 @@ def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcom
     start = time.perf_counter()
     cfg = cfg or SolverConfig()
     require_positive_int("t", t)
-    if not is_connected(g):
+    if not g.connected:
         raise InputError("decide accepts connected graphs only")
     n_edges = len(g.edges)
-    delta = max_degree(g)
+    delta = g.max_degree
     coloring, nodes = None, 0
     if t < delta:
         status, reason = NOT_COLORABLE, f"t={t} below max degree {delta}: properness impossible"
@@ -511,7 +511,7 @@ def certificate_prefix_survives(g: Graph, cert: Coloring) -> bool:
     the same masks; the symmetry-breaking restriction is a search-space
     choice, not a prune.
     """
-    if not is_connected(g):  # the edge order covers one component only
+    if not g.connected:  # the edge order covers one component only
         raise InputError("certificate_prefix_survives accepts connected graphs only")
     require_match(g, cert)
     plan = _plan_of(g)
@@ -633,7 +633,7 @@ def _literal_sweep(g: Graph, t: int, count_all: bool) -> tuple[int, Optional[Col
 
 def _sweep(g: Graph, t: int, method: str, count_all: bool) -> tuple[int, Optional[Coloring]]:
     require_positive_int("t", t)
-    if not is_connected(g):
+    if not g.connected:
         raise InputError("brute force accepts connected graphs only")
     if method not in ("literal", "vector"):
         raise UsageError(f"unknown method {method!r}")
@@ -681,7 +681,7 @@ def _proper_search(g: Graph) -> SearchOutcome:
     either. Properness is all that is left. The certificate is re-verified
     by `check_proper`.
     """
-    delta = max_degree(g)
+    delta = g.max_degree
     plan = _plan_of(g)
     allowed = [(1 << delta) - 1] * len(plan.order)
     allowed[0] = 1  # color rotation: the first edge may as well take color 1
@@ -703,9 +703,9 @@ def chromatic_index(g: Graph) -> int:
     """
     if not g.edges:
         raise InputError("chromatic index needs at least one edge")
-    if not is_connected(g):
+    if not g.connected:
         raise InputError("chromatic index requires a connected graph")
-    delta = max_degree(g)
+    delta = g.max_degree
     # a tree is bipartite, and spectrum has its width already
     if g.tree_width is not None or isinstance(bipartition(g), Bipartition):
         return delta
@@ -746,7 +746,7 @@ def spectrum(
     try:
         lo_bound = chromatic_index(g)
     except BudgetError:
-        lo_bound = max_degree(g)
+        lo_bound = g.max_degree
     hi_bound = len(g.edges)
     lo = lo_bound if t_min is None else t_min
     hi = hi_bound if t_max is None else t_max

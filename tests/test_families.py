@@ -14,7 +14,7 @@ from cycolor.families import (
     gen_random_tree,
     gen_star,
 )
-from cycolor.graphs import Bipartition, bipartition, is_connected, max_degree
+from cycolor.graphs import Bipartition, bipartition
 
 
 def test_gm2_exact_shape():
@@ -59,8 +59,8 @@ def test_gm_counts_and_degrees():
         assert degs["x0"] == m * m
         expected = sorted([m * m] + [2 * m] * (m * (m - 1) // 2) + [m] * (m * m))
         assert sorted(degs.values()) == expected
-        assert max_degree(g) == m * m
-        assert is_connected(g)
+        assert g.max_degree == m * m
+        assert g.connected
         assert sum(degs.values()) == 2 * len(g.edges)
 
 
@@ -110,9 +110,9 @@ def test_path_cycle_star_shapes():
     p = gen_path(4)
     assert len(p.edges) == 4 and len(p.vertices) == 5
     c = gen_cycle(5)
-    assert len(c.edges) == 5 and max_degree(c) == 2
+    assert len(c.edges) == 5 and c.max_degree == 2
     s = gen_star(4)
-    assert max_degree(s) == 4 and len(s.edges) == 4
+    assert s.max_degree == 4 and len(s.edges) == 4
     k = gen_complete_bipartite(2, 3)
     assert len(k.edges) == 6
     assert isinstance(bipartition(k), Bipartition)
@@ -129,6 +129,31 @@ def test_generator_size_validation():
         gen_complete_bipartite(0, 3)
     with pytest.raises(UsageError, match='tree needs >= 1 vertex'):
         gen_random_tree(0, seed=1)
+
+
+_NOT_A_SIZE = [
+    (gen_gm, (True,), r"m must be an integer >= 2, got True"),
+    (gen_gm, (2.0,), r"m must be an integer >= 2, got 2\.0"),
+    (gen_path, (True,), r"path needs >= 1 edge, got True"),
+    (gen_path, (2.5,), r"path needs >= 1 edge, got 2\.5"),
+    (gen_cycle, (3.0,), r"cycle needs >= 3 vertices, got 3\.0"),
+    (gen_cycle, ("4",), r"cycle needs >= 3 vertices, got '4'"),
+    (gen_star, (True,), r"star needs >= 1 leaf, got True"),
+    (gen_complete_bipartite, (True, 2), r"both sides need >= 1 vertex, got True, 2"),
+    (gen_complete_bipartite, (2, 1.5), r"both sides need >= 1 vertex, got 2, 1\.5"),
+    (gen_random_tree, (True, 1), r"tree needs >= 1 vertex, got True"),
+    (gen_random_tree, (None, 1), r"tree needs >= 1 vertex, got None"),
+]
+
+
+@pytest.mark.parametrize(
+    "gen, args, message",
+    [pytest.param(*case, id="-".join([case[0].__name__, *map(str, case[1])])) for case in _NOT_A_SIZE],
+)
+def test_generators_refuse_a_size_that_is_not_an_integer(gen, args, message):
+    # a bool is an int to Python, so gen_path(True) built a one-edge path
+    with pytest.raises(UsageError, match=f"^{message}$"):
+        gen(*args)
 
 
 def test_generators_refuse_graphs_over_the_edge_cap(monkeypatch):
@@ -177,7 +202,7 @@ def test_random_tree_is_a_tree():
             g = gen_random_tree(n, seed)
             assert len(g.vertices) == n
             assert len(g.edges) == n - 1 if n > 1 else len(g.edges) == 0
-            assert is_connected(g)
+            assert g.connected
 
 
 def test_random_tree_reaches_every_shape_on_small_n():

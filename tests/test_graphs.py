@@ -28,8 +28,6 @@ from cycolor.graphs import (
     bipartition,
     build_graph,
     from_json,
-    is_connected,
-    max_degree,
     to_dot,
     to_json,
 )
@@ -77,9 +75,9 @@ def test_build_rejects_bad_input():
 
 
 def test_connectivity():
-    assert is_connected(gen_path(3))
+    assert gen_path(3).connected
     two_parts = build_graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
-    assert not is_connected(two_parts)
+    assert not two_parts.connected
     with pytest.raises(InputError, match='bipartition requires a connected graph'):
         bipartition(two_parts)
 
@@ -160,7 +158,7 @@ def test_chromatic_index_is_delta_or_delta_plus_one():
     # triangle: delta 2 but needs 3 (class two)
     assert chromatic_index(gen_cycle(3)) == 3
     for g in (gen_cycle(3), gen_cycle(7), _k4()):
-        delta = max_degree(g)
+        delta = g.max_degree
         assert chromatic_index(g) in (delta, delta + 1)
 
 
@@ -186,7 +184,7 @@ def test_chromatic_index_matches_a_brute_force_over_all_delta_colorings():
     for want_extra, graphs in ((0, class_one), (1, class_two)):
         for g in graphs:
             assert isinstance(bipartition(g), NotBipartite)
-            delta = max_degree(g)
+            delta = g.max_degree
             assert delta ** len(g.edges) <= 4**6
             proper = any(
                 check_proper(g, Coloring(delta, colors)).ok

@@ -6,19 +6,34 @@ import random
 
 import pytest
 
-from cycolor.errors import BudgetError, InputError, UsageError
+from cycolor.errors import InputError, UsageError
 from cycolor.intervals import (
     ColorSet,
     CyclicIntervalSpec,
     arc_masks,
     arc_window,
     cyclic_span,
-    intcyc,
     intcyc_contains,
     is_cyclic_interval,
     mask_colors,
-    union_of_chained_arcs,
 )
+
+
+def _basic_set(j0: int, i1: int, i2: int, t: int, closed: bool) -> frozenset[int]:
+    """One of the four basic sets, written out by set algebra with no
+    package code."""
+    full = frozenset(range(1, t + 1))
+    closed1 = frozenset(range(min(i1, i2), max(i1, i2) + 1))
+    open1 = closed1 - {i1, i2}
+    if j0 == 1:
+        return closed1 if closed else open1
+    return full - open1 if closed else full - closed1
+
+
+def _members(spec: CyclicIntervalSpec) -> frozenset[int]:
+    """The set named by `spec`, read color by color through intcyc_contains;
+    the colors 0 and t + 1 just outside [1, t] are asked too."""
+    return frozenset(c for c in range(0, spec.t + 2) if intcyc_contains(spec, c))
 
 
 def _all_closed_spec_sets(t: int) -> set[frozenset[int]]:
@@ -27,7 +42,7 @@ def _all_closed_spec_sets(t: int) -> set[frozenset[int]]:
     for j0 in (1, 2):
         for i1 in range(1, t + 1):
             for i2 in range(1, t + 1):
-                out.add(intcyc(CyclicIntervalSpec(j0=j0, i1=i1, i2=i2, t=t, closed=True)).members)
+                out.add(_members(CyclicIntervalSpec(j0=j0, i1=i1, i2=i2, t=t, closed=True)))
     return out
 
 
@@ -43,23 +58,23 @@ def _all_arcs(t: int) -> list[frozenset[int]]:
 # --- the four definitions ----------------------------------------------------
 
 def test_closed_variant_1_is_plain_interval():
-    got = intcyc(CyclicIntervalSpec(j0=1, i1=2, i2=5, t=7, closed=True))
-    assert got.sorted_members() == [2, 3, 4, 5]
+    got = _members(CyclicIntervalSpec(j0=1, i1=2, i2=5, t=7, closed=True))
+    assert sorted(got) == [2, 3, 4, 5]
 
 
 def test_closed_variant_2_at_equal_endpoints_is_full():
-    got = intcyc(CyclicIntervalSpec(j0=2, i1=3, i2=3, t=6, closed=True))
-    assert got.sorted_members() == [1, 2, 3, 4, 5, 6]
+    got = _members(CyclicIntervalSpec(j0=2, i1=3, i2=3, t=6, closed=True))
+    assert sorted(got) == [1, 2, 3, 4, 5, 6]
 
 
 def test_open_variant_1_adjacent_endpoints_is_empty():
-    got = intcyc(CyclicIntervalSpec(j0=1, i1=4, i2=5, t=9, closed=False))
-    assert got.sorted_members() == []
+    got = _members(CyclicIntervalSpec(j0=1, i1=4, i2=5, t=9, closed=False))
+    assert sorted(got) == []
 
 
 def test_open_variant_2_complements_the_closed_interval():
-    got = intcyc(CyclicIntervalSpec(j0=2, i1=2, i2=5, t=7, closed=False))
-    assert got.sorted_members() == [1, 6, 7]
+    got = _members(CyclicIntervalSpec(j0=2, i1=2, i2=5, t=7, closed=False))
+    assert sorted(got) == [1, 6, 7]
 
 
 def test_four_definitions_are_consistent_exhaustively():
@@ -67,10 +82,10 @@ def test_four_definitions_are_consistent_exhaustively():
         full = frozenset(range(1, t + 1))
         for i1 in range(1, t + 1):
             for i2 in range(1, t + 1):
-                closed1 = intcyc(CyclicIntervalSpec(1, i1, i2, t, True)).members
-                open1 = intcyc(CyclicIntervalSpec(1, i1, i2, t, False)).members
-                open2 = intcyc(CyclicIntervalSpec(2, i1, i2, t, False)).members
-                closed2 = intcyc(CyclicIntervalSpec(2, i1, i2, t, True)).members
+                closed1 = _members(CyclicIntervalSpec(1, i1, i2, t, True))
+                open1 = _members(CyclicIntervalSpec(1, i1, i2, t, False))
+                open2 = _members(CyclicIntervalSpec(2, i1, i2, t, False))
+                closed2 = _members(CyclicIntervalSpec(2, i1, i2, t, True))
                 assert open1 == closed1 - {i1, i2}
                 assert open2 == full - closed1
                 assert closed2 == full - open1
@@ -82,9 +97,9 @@ def test_endpoint_order_is_irrelevant():
             for i2 in range(1, t + 1):
                 for j0 in (1, 2):
                     for closed in (True, False):
-                        a = intcyc(CyclicIntervalSpec(j0, i1, i2, t, closed))
-                        b = intcyc(CyclicIntervalSpec(j0, i2, i1, t, closed))
-                        assert a.members == b.members
+                        a = _members(CyclicIntervalSpec(j0, i1, i2, t, closed))
+                        b = _members(CyclicIntervalSpec(j0, i2, i1, t, closed))
+                        assert a == b
 
 
 def test_spec_validation():
@@ -98,23 +113,16 @@ def test_spec_validation():
         CyclicIntervalSpec(j0=1, i1=1, i2=1, t=0)
 
 
-def test_materialization_cap():
-    spec = CyclicIntervalSpec(j0=1, i1=5, i2=9, t=10**6 + 1)
-    with pytest.raises(BudgetError, match='refusing to materialize'):
-        intcyc(spec)
-    # membership still answers without materializing
-    assert intcyc_contains(spec, 7)
-    assert not intcyc_contains(spec, 10)
-
-
 def test_membership_matches_materialization_exhaustively():
+    """intcyc_contains against each basic set materialized by set algebra
+    (`_basic_set`), color by color, with 0 and t + 1 just outside [1, t]."""
     for t in range(1, 7):
         for i1 in range(1, t + 1):
             for i2 in range(1, t + 1):
                 for j0 in (1, 2):
                     for closed in (True, False):
                         spec = CyclicIntervalSpec(j0, i1, i2, t, closed)
-                        members = intcyc(spec).members
+                        members = _basic_set(j0, i1, i2, t, closed)
                         for color in range(0, t + 2):
                             assert intcyc_contains(spec, color) == (color in members)
 
@@ -242,45 +250,3 @@ def test_arc_masks_are_every_arc_of_each_length():
                 every = {m for m, span in spans.items() if span == bin(m).count("1") == length}
                 assert set(masks) == every, (t, length)
 
-
-# --- chained unions ----------------------------------------------------------
-
-def test_chained_union_examples():
-    a = ColorSet.of(9, [1, 2])
-    b = ColorSet.of(9, [2, 3])
-    c = ColorSet.of(9, [3, 4])
-    got = union_of_chained_arcs([a, b, c], 9)
-    assert got is not None and got.sorted_members() == [1, 2, 3, 4]
-
-    wrap = union_of_chained_arcs([ColorSet.of(8, [8, 1]), ColorSet.of(8, [1, 2])], 8)
-    assert wrap is not None and wrap.sorted_members() == [1, 2, 8]
-
-    full = union_of_chained_arcs(
-        [ColorSet.of(7, [1, 2, 3]), ColorSet.of(7, [3, 4, 5]), ColorSet.of(7, [5, 6, 7])], 7
-    )
-    assert full is not None and full.sorted_members() == [1, 2, 3, 4, 5, 6, 7]
-
-
-def test_chained_union_preconditions():
-    with pytest.raises(InputError, match='empty chain'):
-        union_of_chained_arcs([], 5)
-    with pytest.raises(InputError, match='arc 0 has universe 4, expected 5'):
-        union_of_chained_arcs([ColorSet.of(4, [1, 2])], 5)  # universe mismatch
-    with pytest.raises(InputError, match='arc 0 is not a 5-cyclic interval'):
-        union_of_chained_arcs([ColorSet.of(5, [1, 3])], 5)  # not an arc
-    with pytest.raises(InputError, match='chain broken between arcs 0 and 1'):
-        union_of_chained_arcs([ColorSet.of(5, [1, 2]), ColorSet.of(5, [3, 4])], 5)
-
-
-def test_chained_union_of_two_arcs_exhaustively():
-    # any overlap-connected union inside a cycle is again an arc
-    for t in range(2, 7):
-        arcs = _all_arcs(t)
-        for a in arcs:
-            for b in arcs:
-                if not a & b:
-                    continue
-                got = union_of_chained_arcs([ColorSet.of(t, a), ColorSet.of(t, b)], t)
-                assert got is not None
-                assert got.members == a | b
-                assert is_cyclic_interval(got)
