@@ -36,7 +36,7 @@ interval module's non-materializing membership test, so m up to 10^3
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import BudgetError, InternalError, UsageError
 from .intervals import CyclicIntervalSpec, intcyc_contains
@@ -52,8 +52,9 @@ STEP_ORDER = (STEP_BOUNDS, STEP_GAP, STEP_MEMBER, STEP_UNION, STEP_ARC, STEP_CLA
 
 # audit_range re-sweeps every k0 as a self-check for m up to this.
 EXHAUSTIVE_LIMIT = 12
-# audit_range keeps two reports per m, about 6.7 KB together, so it refuses a
-# range of more m than this (about 67 MB).
+# audit_range refuses a range of more m than this. Its entries are small,
+# but the JSON output holds two full reports per m, about 5.8 KB (58 MB at
+# the cap).
 RANGE_CAP = 10_000
 
 ASSUMPTIONS = (
@@ -109,42 +110,96 @@ class AuditReport:
     notes: tuple[str, ...]
 
 
-def _endpoints(params: AuditParams) -> tuple[int, int]:
+def _endpoints(m: int, t0: int) -> tuple[int, int]:
     """The gap endpoints: lower 4m-2, upper t0 - 4m + 4."""
-    return 4 * params.m - 2, params.t0 - 4 * params.m + 4
+    return 4 * m - 2, t0 - 4 * m + 4
 
 
-def _instantiable(params: AuditParams) -> bool:
-    i1, i2 = _endpoints(params)
-    return 1 <= i1 <= params.t0 and 1 <= i2 <= params.t0
+class _Verdicts(NamedTuple):
+    """What `_verdicts` finds: each step's verdict in STEP_ORDER, and the
+    conditions `audit` reports beside them."""
+
+    steps: tuple[bool, ...]
+    lower: bool  # 4m - 1 <= mid
+    upper: bool  # mid <= m^2 + k0 - 4m + 3
+    instantiable: bool  # both gap endpoints lie in [1, t0]
+    interior_empty: bool  # no color lies strictly inside the gap
+    in_complement: bool  # mid lies in the closed complement of the gap
+
+
+def _verdicts(m: int, k0: int) -> _Verdicts:
+    """Every inequality and membership of the argument at (m, k0), each
+    written once here: `audit` turns the verdicts into statements and
+    witnesses, and `audit_range` judges by the verdicts alone."""
+    t0 = m**2 + k0
+    mid = m**2 // 2
+    i1, i2 = _endpoints(m, t0)
+    bound = 4 * m - 2
+    inst = 1 <= i1 <= t0 and 1 <= i2 <= t0
+    lower = 4 * m - 1 <= mid
+    upper = mid <= m**2 + k0 - 4 * m + 3
+    gap_ok = m**2 + k0 - 4 * m + 4 > 4 * m - 2
+    member_ok = inst and intcyc_contains(
+        CyclicIntervalSpec(j0=1, i1=i1, i2=i2, t=t0, closed=False), mid
+    )
+    union_ok = bound < t0
+    # An arc of length L <= bound containing color 1 occupies at most
+    # bound-1 colors after 1 and at most bound-1 before it, so the union of
+    # all such arcs is exactly [1, min(bound, t0)] U [max(t0-bound+2, 1), t0].
+    # Containment in [1, lo] U [hi, t0] therefore fails precisely when that
+    # cover meets the gap interior {lo+1, ..., hi-1}: on an empty interior
+    # the target is every color and containment is vacuous, and otherwise
+    # the cover must stop at lo on the left and start no earlier than hi on
+    # the right. The three-way form keeps the check exact rather than
+    # merely sufficient, so brute-force arc enumeration agrees with it on
+    # every instantiable parameter choice.
+    lo_end, hi_end = min(i1, i2), max(i1, i2)
+    interior_empty = inst and hi_end - lo_end <= 1
+    arc_ok = inst and (
+        interior_empty or (bound < t0 and bound <= lo_end and t0 - bound + 2 >= hi_end)
+    )
+    # The clash: mid sits strictly inside the gap (mid-color-in-gap), yet
+    # mid also sits in the union of the three palettes, which the previous
+    # two steps confine to the complement of that gap's interior.
+    in_complement = inst and intcyc_contains(
+        CyclicIntervalSpec(j0=2, i1=i1, i2=i2, t=t0, closed=True), mid
+    )
+    clash_ok = member_ok and union_ok and arc_ok and not in_complement
+    return _Verdicts(
+        steps=(lower and upper, gap_ok, member_ok, union_ok, arc_ok, clash_ok),
+        lower=lower,
+        upper=upper,
+        instantiable=inst,
+        interior_empty=interior_empty,
+        in_complement=in_complement,
+    )
 
 
 def audit(params: AuditParams) -> AuditReport:
     m, k0, t0 = params.m, params.k0, params.t0
     mid = m**2 // 2
-    i1, i2 = _endpoints(params)
+    i1, i2 = _endpoints(m, t0)
     bound = 4 * m - 2
-    inst = _instantiable(params)
+    found = _verdicts(m, k0)
+    bounds_ok, gap_ok, member_ok, union_ok, arc_ok, clash_ok = found.steps
+    inst = found.instantiable
     steps: list[AuditStep] = []
 
-    lower_ok = 4 * m - 1 <= mid
-    upper_ok = mid <= m**2 + k0 - 4 * m + 3
     steps.append(
         AuditStep(
             name=STEP_BOUNDS,
             statement=f"{4 * m - 1} <= {mid} <= {m**2 + k0 - 4 * m + 3}",
-            holds=lower_ok and upper_ok,
+            holds=bounds_ok,
             witnesses={
                 "lower": 4 * m - 1,
                 "mid": mid,
                 "upper": m**2 + k0 - 4 * m + 3,
-                "lower_holds": lower_ok,
-                "upper_holds": upper_ok,
+                "lower_holds": found.lower,
+                "upper_holds": found.upper,
             },
         )
     )
 
-    gap_ok = m**2 + k0 - 4 * m + 4 > 4 * m - 2
     steps.append(
         AuditStep(
             name=STEP_GAP,
@@ -155,20 +210,15 @@ def audit(params: AuditParams) -> AuditReport:
     )
 
     if inst:
-        member_ok = intcyc_contains(
-            CyclicIntervalSpec(j0=1, i1=i1, i2=i2, t=t0, closed=False), mid
-        )
         member_stmt = f"{mid} strictly between {i1} and {i2} in [1, {t0}]"
         member_wit: dict[str, Union[int, bool, str]] = {"mid": mid, "i1": i1, "i2": i2}
     else:
-        member_ok = False
         member_stmt = f"endpoints ({i1}, {i2}) fall outside [1, {t0}]: gap not even formable"
         member_wit = {"mid": mid, "i1": i1, "i2": i2, "instantiable": False}
     steps.append(
         AuditStep(name=STEP_MEMBER, statement=member_stmt, holds=member_ok, witnesses=member_wit)
     )
 
-    union_ok = bound < t0
     steps.append(
         AuditStep(
             name=STEP_UNION,
@@ -180,22 +230,7 @@ def audit(params: AuditParams) -> AuditReport:
         )
     )
 
-    # An arc of length L <= bound containing color 1 occupies at most
-    # bound-1 colors after 1 and at most bound-1 before it, so the union of
-    # all such arcs is exactly [1, min(bound, t0)] U [max(t0-bound+2, 1), t0].
-    # Containment in [1, lo] U [hi, t0] therefore fails precisely when that
-    # cover meets the gap interior {lo+1, ..., hi-1}: on an empty interior
-    # the target is every color and containment is vacuous, and otherwise
-    # the cover must stop at lo on the left and start no earlier than hi on
-    # the right. The three-way form keeps the check exact rather than
-    # merely sufficient, so brute-force arc enumeration agrees with it on
-    # every instantiable parameter choice.
     lo_end, hi_end = (min(i1, i2), max(i1, i2)) if inst else (0, 0)
-    gap_interior_empty = inst and hi_end - lo_end <= 1
-    arc_ok = inst and (
-        gap_interior_empty
-        or (bound < t0 and bound <= lo_end and t0 - bound + 2 >= hi_end)
-    )
     steps.append(
         AuditStep(
             name=STEP_ARC,
@@ -203,7 +238,7 @@ def audit(params: AuditParams) -> AuditReport:
                 (
                     f"target [1, {lo_end}] U [{hi_end}, {t0}] is every color; "
                     f"containment is vacuous"
-                    if gap_interior_empty
+                    if found.interior_empty
                     else f"arcs of length <= {bound} through color 1 lie in "
                     f"[1, {bound}] U [{t0 - bound + 2}, {t0}] subset of "
                     f"[1, {lo_end}] U [{hi_end}, {t0}]"
@@ -218,19 +253,12 @@ def audit(params: AuditParams) -> AuditReport:
                 "cover_hi": t0 - bound + 2,
                 "target_lo": lo_end,
                 "target_hi": hi_end,
-                "gap_interior_empty": gap_interior_empty,
+                "gap_interior_empty": found.interior_empty,
                 "instantiable": inst,
             },
         )
     )
 
-    # The clash: mid sits strictly inside the gap (mid-color-in-gap), yet
-    # mid also sits in the union of the three palettes, which the previous
-    # two steps confine to the complement of that gap's interior.
-    outside_gap = inst and intcyc_contains(
-        CyclicIntervalSpec(j0=2, i1=i1, i2=i2, t=t0, closed=True), mid
-    )
-    clash_ok = member_ok and union_ok and arc_ok and not outside_gap
     steps.append(
         AuditStep(
             name=STEP_CLASH,
@@ -239,7 +267,7 @@ def audit(params: AuditParams) -> AuditReport:
                 f"palette union confined to its complement — impossible"
             ),
             holds=clash_ok,
-            witnesses={"mid": mid, "mid_in_complement": bool(outside_gap)},
+            witnesses={"mid": mid, "mid_in_complement": found.in_complement},
         )
     )
 
@@ -256,13 +284,21 @@ def audit(params: AuditParams) -> AuditReport:
 
 @dataclass(frozen=True)
 class RangeEntry:
+    """One m of `audit_range`. Its two reports are built by `audit` when read."""
+
     m: int
     k0_hi: int
     passed: bool
     failing_step: Optional[str]
     exhaustive_checked: bool
-    report_lo: AuditReport
-    report_hi: AuditReport
+
+    @property
+    def report_lo(self) -> AuditReport:
+        return audit(AuditParams(m=self.m, k0=0))
+
+    @property
+    def report_hi(self) -> AuditReport:
+        return audit(AuditParams(m=self.m, k0=self.k0_hi))
 
 
 @dataclass(frozen=True)
@@ -279,8 +315,10 @@ def audit_range(m_lo: int, m_hi: int) -> RangeSummary:
     Every k0-dependent condition is nondecreasing in k0 and the decisive
     lower bound is k0-free, so the endpoints determine the whole k0 range;
     for m <= EXHAUSTIVE_LIMIT that argument is cross-checked by sweeping
-    every k0 and insisting the passing set is exactly what the endpoints
-    predict. A range of more than RANGE_CAP values of m is a BudgetError.
+    every k0 and insisting the passing set is upward-closed. Each k0 is
+    judged by the steps' verdicts alone; an entry builds its two full
+    reports only when they are read. A range of more than RANGE_CAP values
+    of m is a BudgetError.
     """
     if not isinstance(m_lo, int) or not isinstance(m_hi, int) or not 2 <= m_lo <= m_hi:
         raise UsageError(f"need 2 <= m_lo <= m_hi, got ({m_lo!r}, {m_hi!r})")
@@ -291,30 +329,26 @@ def audit_range(m_lo: int, m_hi: int) -> RangeSummary:
     entries: list[RangeEntry] = []
     for m in range(m_lo, m_hi + 1):
         k0_hi = m**3 - m**2
-        rep_lo = audit(AuditParams(m=m, k0=0))
-        rep_hi = audit(AuditParams(m=m, k0=k0_hi))
-        if rep_lo.passed and not rep_hi.passed:
+        lo = _verdicts(m, 0).steps
+        passed_lo, passed_hi = all(lo), all(_verdicts(m, k0_hi).steps)
+        if passed_lo and not passed_hi:
             raise InternalError(
                 f"monotonicity violated at m={m}: k0=0 passes but k0={k0_hi} fails"
             )
         exhaustive = m <= EXHAUSTIVE_LIMIT
         if exhaustive:
-            results = [audit(AuditParams(m=m, k0=k0)).passed for k0 in range(k0_hi + 1)]
+            results = [all(_verdicts(m, k0).steps) for k0 in range(k0_hi + 1)]
             for earlier, later in zip(results, results[1:]):
                 if earlier and not later:
                     raise InternalError(f"k0 sweep at m={m} is not upward-closed")
-            if results[0] != rep_lo.passed or results[-1] != rep_hi.passed:
-                raise InternalError(f"k0 sweep endpoints disagree with reports at m={m}")
-        passed = rep_lo.passed and rep_hi.passed
+        passed = passed_lo and passed_hi
         entries.append(
             RangeEntry(
                 m=m,
                 k0_hi=k0_hi,
                 passed=passed,
-                failing_step=rep_lo.failing_step if not passed else None,
+                failing_step=None if passed else STEP_ORDER[lo.index(False)],
                 exhaustive_checked=exhaustive,
-                report_lo=rep_lo,
-                report_hi=rep_hi,
             )
         )
     return RangeSummary(

@@ -8,23 +8,37 @@ Variables (1-based DIMACS indices):
                                  cyclic arc of length deg(v) starting at
                                  color s
 
+then the auxiliary variables of the ladders below, block by block.
+
 Clauses: exactly one color per edge; at most one incident edge per
 (vertex, color); exactly one arc start per vertex, with links forcing
 every color used at v into the selected arc; and one clause per color
 demanding some edge uses it (surjectivity). The arcs, and so the starts
 that cover each color, come from `intervals.arc_masks`.
 
+An at-most-one block of n < 8 literals is every pair of them, C(n, 2)
+clauses. From n = 8 on, where it is smaller, it is a ladder (Sinz's
+sequential counter, CP 2005) of 4n - 7 clauses: auxiliary variables
+s_1..s_{n-2} with s_i equivalent to b_0 or ... or b_i (s_0 is b_0 itself),
+and no b_i true together with s_{i-1}. Each s_i is fixed by the b's, so
+the ladders add no models.
+
 For deg(v) >= t every arc of length deg(v) is the whole palette, making
 the a(v, s) interchangeable; a unit clause pins s = 1 there so satisfying
 assignments correspond one-to-one with valid colorings.
 
-The clause count grows as t^2 per edge and vertex, so `encode` computes it
-first (`_clause_count`) and refuses more than CLAUSE_CAP clauses. Every
-clause holds the one int object of each of its literals, and `encode` builds
-each at-most-one block with `itertools.combinations`. `to_dimacs` formats
-each literal once and writes a chunk of clauses as one join over their
-literals, each clause ended by a literal 0 that formats as the terminator,
-so an encoding costs memory per clause, not per literal occurrence.
+With the ladders the clause count grows linearly in t: a ladder of
+4t - 7 clauses per edge and per vertex, 2t links per edge and t blocks
+over each vertex's edges. `encode` computes it first (`_clause_count`)
+and refuses more than CLAUSE_CAP clauses. One layout of the at-most-one blocks (`_amo_families`)
+gives the clauses, the counts, the auxiliary variables set by
+`model_from_coloring` and the comment block. Every clause holds the one
+int object of each of its literals, and `encode` builds the ladders and
+links with `zip` and `map` over slices of those literals. `to_dimacs`
+formats each literal once and writes a chunk of clauses as one join over
+their literals, each clause ended by a literal 0 that formats as the
+terminator, so an encoding costs memory per clause, not per literal
+occurrence.
 """
 
 from __future__ import annotations
@@ -33,17 +47,84 @@ import json
 from dataclasses import dataclass, replace
 from itertools import chain, combinations, repeat
 from operator import add
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .coloring import Coloring, check_cyclically_interval
 from .errors import BudgetError, InputError, require_positive_int
 from .graphs import Graph
-from .intervals import arc_masks
+from .intervals import arc_masks, mask_colors
 
-# encode refuses a formula of more clauses than this: about ten times the
-# 208,311 of gm(4) at t=64.
+# encode refuses a formula of more clauses than this: about forty times the
+# 49,398 of gm(4) at t=64.
 CLAUSE_CAP = 2 * 10**6
 # to_dimacs joins the text of this many clauses into one string at a time.
 _DIMACS_CHUNK = 4096
+# An at-most-one block of this many literals or more is a ladder: 4n - 7
+# clauses against C(n, 2) pairs, 25 against 28 at n = 8 and 21 each at n = 7.
+_LADDER_FROM = 8
+
+
+def _amo_size(n: int) -> tuple[int, int]:
+    """The clauses and auxiliary variables of an at-most-one block of n literals."""
+    if n < _LADDER_FROM:
+        return n * (n - 1) // 2, 0
+    return 4 * n - 7, n - 2
+
+
+class _AmoFamily(NamedTuple):
+    """`count` at-most-one blocks of `size` literals each. Block k is over
+    the variables `members(k)`, and `meaning(k, i, name)` says in the
+    comment block what its s_i stands for, `name` mapping each vertex to
+    its escaped label."""
+
+    size: int
+    count: int
+    members: Callable[[int], Sequence[int]]
+    meaning: Callable[[int, int, dict], str]
+
+
+def _amo_families(g: Graph, t: int) -> list[_AmoFamily]:
+    """The at-most-one blocks of `encode(g, t)`: each edge's colors; each
+    vertex's incident edges at each color; each vertex's arc starts. The
+    ladders' auxiliary variables follow x and a in this order."""
+    n_edges = len(g.edges)
+
+    def colors_of(e: int) -> range:
+        return range(e * t + 1, e * t + t + 1)
+
+    def colors_meaning(e: int, i: int, name: dict) -> str:
+        return f"edge {e} color <= {i + 1}"
+
+    def starts_of(v_idx: int) -> range:
+        return colors_of(n_edges + v_idx)  # a(v, s) is numbered as x(|E| + v, s)
+
+    def starts_meaning(v_idx: int, i: int, name: dict) -> str:
+        return f"vertex {name[g.vertices[v_idx]]} arc-start <= {i + 1}"
+
+    families = [_AmoFamily(t, n_edges, colors_of, colors_meaning)]
+    for v in g.vertices:
+        firsts = [i * t + 1 for _, i in g.adjacency[v]]  # x(i, 1) of each edge i at v
+
+        def edges_at(k: int, firsts=firsts) -> list[int]:
+            return [x + k for x in firsts]
+
+        def edges_meaning(k: int, i: int, name: dict, v=v) -> str:
+            return f"vertex {name[v]} color {k + 1} on its first {i + 1} edges"
+
+        families.append(_AmoFamily(len(firsts), t, edges_at, edges_meaning))
+    families.append(_AmoFamily(t, len(g.vertices), starts_of, starts_meaning))
+    return families
+
+
+def _ladders(g: Graph, t: int) -> Iterator[tuple[_AmoFamily, int, int]]:
+    """Every ladder block, in the order of `_amo_families`: its family, its
+    index k there and its first auxiliary variable, the one for s_1."""
+    aux = (len(g.edges) + len(g.vertices)) * t + 1
+    for family in _amo_families(g, t):
+        if family.size >= _LADDER_FROM:
+            for k in range(family.count):
+                yield family, k, aux
+                aux += family.size - 2
 
 
 @dataclass(frozen=True)
@@ -54,7 +135,8 @@ class CnfEncoding:
 
     @property
     def num_vars(self) -> int:
-        return (len(self.g.edges) + len(self.g.vertices)) * self.t
+        aux = sum(f.count * _amo_size(f.size)[1] for f in _amo_families(self.g, self.t))
+        return (len(self.g.edges) + len(self.g.vertices)) * self.t + aux
 
     def edge_var(self, e: int, c: int) -> int:
         return e * self.t + c
@@ -67,14 +149,18 @@ class CnfEncoding:
         # line break in it cannot end the comment line
         name = {v: json.dumps(v, ensure_ascii=False)[1:-1] for v in self.g.vertices}
         lines = []
+        colors = range(1, self.t + 1)
         for e, (u, v) in enumerate(self.g.edges):
-            for c in range(1, self.t + 1):
-                lines.append(
-                    f"c var {self.edge_var(e, c)} : edge {e} ({name[u]}--{name[v]}) color {c}\n"
-                )
+            var = self.edge_var(e, 0)
+            about = f" : edge {e} ({name[u]}--{name[v]}) color "
+            lines.extend(f"c var {var + c}{about}{c}\n" for c in colors)
         for v_idx, v in enumerate(self.g.vertices):
-            for s in range(1, self.t + 1):
-                lines.append(f"c var {self.arc_var(v_idx, s)} : vertex {name[v]} arc-start {s}\n")
+            var = self.arc_var(v_idx, 0)
+            about = f" : vertex {name[v]} arc-start "
+            lines.extend(f"c var {var + s}{about}{s}\n" for s in colors)
+        for family, k, aux in _ladders(self.g, self.t):
+            for i in range(1, family.size - 1):
+                lines.append(f"c var {aux + i - 1} : {family.meaning(k, i, name)}\n")
         lines.append(f"p cnf {self.num_vars} {len(self.clauses)}\n")
         # word[lit] is literal lit and the space after it, formatted once; a
         # negative lit indexes from the end of the list. No clause holds
@@ -88,7 +174,8 @@ class CnfEncoding:
         return "".join(lines)
 
     def decode_model(self, true_vars: set[int], verify: bool = True) -> Coloring:
-        """Read a satisfying assignment back into a Coloring and re-check it."""
+        """Read a satisfying assignment back into a Coloring and re-check it.
+        The ladders' auxiliary variables are not read."""
         colors = []
         for e in range(len(self.g.edges)):
             chosen = [c for c in range(1, self.t + 1) if self.edge_var(e, c) in true_vars]
@@ -123,22 +210,25 @@ class CnfEncoding:
             if start is None:
                 raise InputError(f"palette at {v} fits no arc; coloring is not valid")
             true_vars.add(self.arc_var(v_idx, start))
+        # s_i is true from the first true b on; s_i is variable aux + i - 1
+        for family, k, aux in _ladders(self.g, self.t):
+            members = family.members(k)
+            first = next((i for i, var in enumerate(members) if var in true_vars), family.size)
+            true_vars.update(range(aux + max(first, 1) - 1, aux + family.size - 2))
         return true_vars
 
 
 def _clause_count(g: Graph, t: int) -> int:
-    """The number of clauses `encode(g, t)` builds, in closed form: per edge
-    and per vertex one at-least-one and C(t, 2) at-most-one clauses; per
-    vertex and color one clause per pair of incident edges; per vertex,
-    edge end and color one link; one unit clause per vertex of degree >= t;
-    one surjectivity clause per color."""
-    degrees = [len(g.adjacency[v]) for v in g.vertices]
-    pairs = t * (t - 1) // 2
+    """The number of clauses `encode(g, t)` builds, in closed form: one
+    at-least-one clause per edge and per vertex; the at-most-one blocks of
+    `_amo_families`; per vertex, edge end and color one link; one unit
+    clause per vertex of degree >= t; one surjectivity clause per color."""
     return (
-        (len(g.edges) + len(g.vertices)) * (1 + pairs)
-        + t * sum(d * (d - 1) // 2 for d in degrees)
+        len(g.edges)
+        + len(g.vertices)
+        + sum(f.count * _amo_size(f.size)[0] for f in _amo_families(g, t))
         + 2 * len(g.edges) * t
-        + sum(d >= t for d in degrees)
+        + sum(len(g.adjacency[v]) >= t for v in g.vertices)
         + t
     )
 
@@ -158,31 +248,42 @@ def encode(g: Graph, t: int) -> CnfEncoding:
     pos = list(range(layout.num_vars + 1))
     neg = [-var for var in pos]
     colors = range(1, t + 1)
-    clauses: list[tuple[int, ...]] = []
-    # Each at-most-one block is every pair of its negated literals, in the
-    # order of nested loops over increasing indices.
-    for e in range(n_edges):
-        clauses.append(tuple(pos[x(e, c)] for c in colors))
-        clauses.extend(combinations([neg[x(e, c)] for c in colors], 2))
-    for v in g.vertices:
-        inc = [i for _, i in g.adjacency[v]]
-        for c in colors:
-            clauses.extend(combinations([neg[x(i, c)] for i in inc], 2))
+    clauses: list[tuple[int, ...]] = [tuple(pos[x(e, 1) : x(e, t) + 1]) for e in range(n_edges)]
+    for family in _amo_families(g, t):
+        if family.size < _LADDER_FROM:
+            for k in range(family.count):
+                clauses.extend(combinations(map(neg.__getitem__, family.members(k)), 2))
+    for family, k, aux in _ladders(g, t):
+        n = family.size
+        members = family.members(k)
+        nb = list(map(neg.__getitem__, members))
+        pb = list(map(pos.__getitem__, members))
+        # s_0 is b_0 and s_i (i = 1..n-2) is auxiliary variable aux + i - 1
+        ps = [pb[0], *pos[aux : aux + n - 2]]
+        ns = [nb[0], *neg[aux : aux + n - 2]]
+        clauses.extend(zip(nb[1:-1], ps[1:]))  # b_i implies s_i
+        clauses.extend(zip(ns, ps[1:]))  # s_{i-1} implies s_i
+        clauses.extend(zip(ns[1:], ps, pb[1:-1]))  # s_i implies s_{i-1} or b_i
+        clauses.extend(zip(nb[1:], ns))  # not both b_i and s_{i-1}
+    cover_starts: dict[int, list[list[int]]] = {}  # per degree, per color
     for v_idx, v in enumerate(g.vertices):
         deg = len(g.adjacency[v])
-        clauses.append(tuple(pos[a(v_idx, s)] for s in colors))
-        clauses.extend(combinations([neg[a(v_idx, s)] for s in colors], 2))
+        clauses.append(tuple(pos[a(v_idx, 1) : a(v_idx, t) + 1]))
         if deg >= t:
             clauses.append((pos[a(v_idx, 1)],))
-        arcs = arc_masks(deg, t)
-        covers = [
-            tuple(pos[a(v_idx, s)] for s in colors if arcs[s - 1] >> (c - 1) & 1) for c in colors
-        ]
+        if deg not in cover_starts:
+            # The starts whose arc covers color c are the colors of the arc
+            # of the same length that ends at c.
+            arcs = arc_masks(deg, t)
+            length = min(deg, t)
+            cover_starts[deg] = [mask_colors(arcs[(c - length) % t]) for c in colors]
+        starts = pos[a(v_idx, 1) - 1 : a(v_idx, t) + 1]  # starts[s] is a(v_idx, s)
+        covers = [tuple(map(starts.__getitem__, cover)) for cover in cover_starts[deg]]
+        # a color c on an edge at v puts v's arc start among covers[c - 1]
         for _, e in g.adjacency[v]:
-            for c in colors:
-                clauses.append((neg[x(e, c)], *covers[c - 1]))
-    for c in colors:
-        clauses.append(tuple(pos[x(e, c)] for e in range(n_edges)))
+            clauses.extend(map(add, zip(neg[x(e, 1) : x(e, t) + 1]), covers))
+    # color c on some edge: x(e, c) = c + e*t for every e
+    clauses.extend(tuple(pos[c : c + n_edges * t : t]) for c in colors)
     return replace(layout, clauses=tuple(clauses))
 
 

@@ -15,7 +15,9 @@ tests a color's membership in it; no set is ever built, so t may be as
 large as the caller likes. A nonempty Q subset of [1, t] is a t-cyclic
 interval when it equals some closed variant, which is the same as saying
 Q is an arc of the cycle on colors 1..t. Open variants may be empty; the
-arc predicate rejects the empty set.
+arc predicate rejects the empty set. A universe size, endpoint, variant,
+member or color must be a plain int: a bool, a float or any other type is
+refused.
 
 The one analytic arc is a scan of the runs of absent colors between
 cyclically consecutive members (`_gaps`). `cyclic_span` is t minus the
@@ -42,11 +44,15 @@ class ColorSet:
     members: frozenset[int]
 
     def __post_init__(self) -> None:
+        if type(self.t) is not int:
+            raise UsageError(f"universe size must be an integer, got {self.t!r}")
         if self.t < 1:
             raise UsageError(f"universe size must be >= 1, got {self.t}")
-        bad = [c for c in self.members if not 1 <= c <= self.t]
+        bad = [c for c in self.members if type(c) is not int or not 1 <= c <= self.t]
         if bad:
-            raise InputError(f"colors {sorted(bad)} outside [1, {self.t}]")
+            # sorted within each type: a non-integer need not compare with an int
+            bad.sort(key=lambda c: (type(c).__name__, c))
+            raise InputError(f"colors {bad} outside [1, {self.t}]")
 
     @classmethod
     def of(cls, t: int, members: Iterable[int]) -> "ColorSet":
@@ -73,11 +79,15 @@ class CyclicIntervalSpec:
     closed: bool = True
 
     def __post_init__(self) -> None:
-        if self.j0 not in (1, 2):
-            raise UsageError(f"variant must be 1 or 2, got {self.j0}")
+        if type(self.j0) is not int or self.j0 not in (1, 2):
+            raise UsageError(f"variant must be 1 or 2, got {self.j0!r}")
+        if type(self.t) is not int:
+            raise UsageError(f"universe size must be an integer, got {self.t!r}")
         if self.t < 1:
             raise UsageError(f"universe size must be >= 1, got {self.t}")
         for name, value in (("i1", self.i1), ("i2", self.i2)):
+            if type(value) is not int:
+                raise UsageError(f"{name} must be an integer, got {value!r}")
             if not 1 <= value <= self.t:
                 raise UsageError(f"{name}={value} outside [1, {self.t}]")
 
@@ -85,6 +95,8 @@ class CyclicIntervalSpec:
 def intcyc_contains(spec: CyclicIntervalSpec, color: int) -> bool:
     """Membership test for the set named by `spec`, in constant time for
     any t. Colors outside [1, t] are never members."""
+    if type(color) is not int:
+        raise UsageError(f"color must be an integer, got {color!r}")
     if not 1 <= color <= spec.t:
         return False
     lo, hi = min(spec.i1, spec.i2), max(spec.i1, spec.i2)

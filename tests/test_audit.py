@@ -15,6 +15,7 @@ from cycolor.audit import (
     STEP_ORDER,
     STEP_UNION,
     AuditParams,
+    _verdicts,
     audit,
     audit_range,
     report_to_dict,
@@ -140,6 +141,50 @@ def test_arc_step_agrees_with_brute_force_enumeration():
                     if 1 in arc and not arc <= target:
                         brute = False
             assert step.holds == brute, (m, k0)
+
+
+def test_verdicts_name_the_failing_step_of_the_full_report():
+    # every k0 of every m the range sweeps, then a stride through m <= 60
+    cases = [(m, k0) for m in range(2, 13) for k0 in range(m**3 - m**2 + 1)]
+    cases += [
+        (m, k0)
+        for m in range(13, 61)
+        for k0 in (*range(0, m**3 - m**2, (m**3 - m**2) // 17), m**3 - m**2)
+    ]
+    for m, k0 in cases:
+        flags = _verdicts(m, k0).steps
+        report = audit(AuditParams(m=m, k0=k0))
+        assert flags == tuple(s.holds for s in report.steps), (m, k0)
+        first = next((name for name, ok in zip(STEP_ORDER, flags) if not ok), None)
+        assert first == report.failing_step, (m, k0)
+
+
+def test_range_entries_read_fresh_reports():
+    for entry in audit_range(2, 20).entries:
+        lo, hi = entry.report_lo, entry.report_hi
+        assert lo == audit(AuditParams(m=entry.m, k0=0))
+        assert hi == audit(AuditParams(m=entry.m, k0=entry.k0_hi))
+        assert entry.passed == (lo.passed and hi.passed)
+        assert entry.failing_step == (None if entry.passed else lo.failing_step)
+
+
+def test_range_summary_dict_equals_one_built_from_audit():
+    entries = []
+    for m, passed, failing in ((7, False, STEP_BOUNDS), (8, True, None)):
+        k0_hi = m**3 - m**2
+        entries.append(
+            {
+                "m": m,
+                "k0_endpoints": [0, k0_hi],
+                "passed": passed,
+                "failing_step": failing,
+                "exhaustive_k0_sweep": True,
+                "report_k0_lo": report_to_dict(audit(AuditParams(m=m, k0=0))),
+                "report_k0_hi": report_to_dict(audit(AuditParams(m=m, k0=k0_hi))),
+            }
+        )
+    want = {"m_lo": 7, "m_hi": 8, "all_passed": False, "entries": entries}
+    assert summary_to_dict(audit_range(7, 8)) == want
 
 
 def test_audit_range_over_the_boundary():

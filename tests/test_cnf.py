@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import tracemalloc
 
@@ -51,6 +52,9 @@ def test_valid_colorings_satisfy_the_encoding():
         (gen_star(4), 4),
         (gen_path(3), 2),
     ]
+    # ladders on every edge's colors and vertex's starts, and on the hub's
+    # 9 and 16 edges at each color
+    cases += [(gen_gm(3), t) for t in range(9, 14)] + [(gen_gm(4), 16)]
     for g, t in cases:
         out = decide(g, t)
         assert out.status == COLORABLE
@@ -119,37 +123,101 @@ def test_dimacs_shape():
 
 
 def test_comment_block_names_every_variable():
-    enc = encode(gen_path(2), 2)
-    text = enc.to_dimacs()
-    for var in range(1, enc.num_vars + 1):
-        assert f"c var {var} :" in text
+    # gm(3) at t=9 has ladders, so auxiliary variables, on every block of t
+    # literals and on the hub's 9 edges at each color
+    for g, t in ((gen_path(2), 2), (gen_gm(3), 9)):
+        enc = encode(g, t)
+        named = [ln.split(" : ")[0] for ln in enc.to_dimacs().splitlines() if ln.startswith("c var ")]
+        assert named == [f"c var {var}" for var in range(1, enc.num_vars + 1)]
+
+
+def test_a_ladder_fixes_its_auxiliary_variables():
+    """Edge 0 of a one-edge path at t=8 is a ladder over x = 1..8 with the
+    auxiliary variables 25..30, after the 24 of x and a. Every assignment of
+    all 14 is tried against the ladder's clauses: those within these
+    variables that hold a negative literal, which leaves out the edge's
+    at-least-one clause."""
+    enc = encode(gen_path(1), 8)
+    b, s = range(1, 9), range(25, 31)
+    ladder = [c for c in enc.clauses if {abs(lit) for lit in c} <= {*b, *s} and min(c) < 0]
+    assert len(ladder) == 4 * 8 - 7
+    for b_true in itertools.chain.from_iterable(itertools.combinations(b, r) for r in range(9)):
+        extensions = []
+        for r in range(7):
+            for s_true in itertools.combinations(s, r):
+                true_vars = {*b_true, *s_true}
+                if all(any((lit > 0) == (abs(lit) in true_vars) for lit in c) for c in ladder):
+                    extensions.append(s_true)
+        if len(b_true) <= 1:
+            # s_i, variable 24 + i, is true from the true b on: b_i is variable i + 1
+            first = b_true[0] if b_true else 9
+            assert extensions == [tuple(range(23 + max(first, 2), 31))], b_true
+        else:
+            assert extensions == [], b_true
 
 
 def test_clause_count_closed_form_matches_the_encoding():
     cases = [(gen_gm(2), t) for t in range(1, 10)]
     cases += [(gen_star(4), t) for t in range(1, 6)]  # deg >= t pins a start
+    # a block of 7 literals is every pair, one of 8 a ladder
+    cases += [(gen_star(n), t) for n in (7, 8) for t in range(7, 10)]
     cases += [(gen_random_tree(20, 1), t) for t in (2, 4, 7)]
     cases += [(gen_random_tree(24, 4), t) for t in (3, 11)]
     for g, t in cases:
-        assert _clause_count(g, t) == len(encode(g, t).clauses), (g.edges, t)
+        enc = encode(g, t)
+        assert _clause_count(g, t) == len(enc.clauses), (g.edges, t)
+        # every variable up to num_vars appears in some clause, and no other
+        used = {abs(lit) for clause in enc.clauses for lit in clause}
+        assert used == set(range(1, enc.num_vars + 1)), (g.edges, t)
+    # gm(3) has 27 edges and 13 vertices: nine of degree 3, three of 6 and
+    # the hub of 9. gm(4) has 64 and 23: sixteen of degree 4, six of 8 and
+    # the hub of 16. Per edge and vertex: one at-least-one clause and an
+    # at-most-one block of t literals; per vertex and color, a block over
+    # its edges; 2t links per edge; a unit per vertex of degree >= t; t
+    # surjectivity clauses. A block of n literals is n(n-1)/2 pairs below
+    # n = 8 and a ladder of 4n - 7 clauses and n - 2 variables from there.
     frozen = {
-        (3, 13): 5_279,
-        (3, 27): 18_481,
-        (4, 16): 18_736,
-        (4, 64): 208_311,
+        (3, 13): (
+            40 * (1 + 45) + 13 * (9 * 3 + 3 * 15 + 29) + 2 * 27 * 13 + 13,
+            40 * 13 + 40 * 11 + 13 * 7,
+        ),
+        (3, 27): (
+            40 * (1 + 101) + 27 * (9 * 3 + 3 * 15 + 29) + 2 * 27 * 27 + 27,
+            40 * 27 + 40 * 25 + 27 * 7,
+        ),
+        (4, 16): (
+            87 * (1 + 57) + 16 * (16 * 6 + 6 * 25 + 57) + 2 * 64 * 16 + 1 + 16,
+            87 * 16 + 87 * 14 + 16 * (6 * 6 + 14),
+        ),
+        (4, 64): (
+            87 * (1 + 249) + 64 * (16 * 6 + 6 * 25 + 57) + 2 * 64 * 64 + 64,
+            87 * 64 + 87 * 62 + 64 * (6 * 6 + 14),
+        ),
     }
-    for (m, t), count in frozen.items():
+    assert frozen == {
+        (3, 13): (3_868, 1_051),
+        (3, 27): (8_292, 2_269),
+        (4, 16): (11_959, 3_410),
+        (4, 64): (49_398, 14_162),
+    }
+    for (m, t), (count, n_vars) in frozen.items():
         g = gen_gm(m)
+        enc = encode(g, t)
         assert _clause_count(g, t) == count
-        assert len(encode(g, t).clauses) == count
+        assert len(enc.clauses) == count
+        assert enc.num_vars == n_vars
 
 
 def test_encode_refuses_past_the_clause_cap():
     g = gen_path(3)
-    # 7 * (1 + C(99999, 2)) + 99999 * (1 + 6 + 2): 34,999,850,005 clauses
-    with pytest.raises(BudgetError, match=r"t=99999 needs 34999850005 clauses, past the cap"):
+    # 7 * (1 + 4 * 99999 - 7) + 99999 * (2 + 6 + 1): 3,699,921 clauses, the
+    # 7 blocks of t literals being ladders and the two middle vertices'
+    # blocks of 2 one pair per color
+    with pytest.raises(BudgetError, match=r"t=99999 needs 3699921 clauses, past the cap"):
         encode(g, 99_999)
-    t = next(t for t in itertools.count(1) if _clause_count(g, t) > CLAUSE_CAP)
+    # the first t past the cap; the count grows with t
+    t = 1 + bisect.bisect_right(range(1, 99_999), CLAUSE_CAP, key=lambda t: _clause_count(g, t))
+    assert _clause_count(g, t - 1) <= CLAUSE_CAP < _clause_count(g, t)
     with pytest.raises(BudgetError, match="past the cap"):
         encode(g, t)
 
@@ -183,8 +251,10 @@ def test_dimacs_clause_lines_match_the_clauses():
 
 def test_cnf_export_memory_peak():
     # Each literal is one shared int and DIMACS is written in joined chunks:
-    # encoding gm(4) at t=64 (208,311 clauses) and writing it peaks near
-    # 22 MB; one int per literal occurrence and one string per line took 47 MB.
+    # encoding gm(4) at t=64 (49,398 clauses) and writing it peaks near
+    # 11 MB. With every at-most-one block pairwise (208,311 clauses) it
+    # peaked near 22 MB, and one int per literal occurrence and one string
+    # per line took 47 MB.
     g = gen_gm(4)
     tracemalloc.start()
     try:
@@ -192,5 +262,5 @@ def test_cnf_export_memory_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert text.count("\n") > 208_311
+    assert text.count("\n") > 49_398
     assert peak < 32_000_000, peak

@@ -113,6 +113,46 @@ def test_spec_validation():
         CyclicIntervalSpec(j0=1, i1=1, i2=1, t=0)
 
 
+_NOT_AN_INTEGER = [
+    ("spec-all-bools", lambda: CyclicIntervalSpec(True, True, True, True), UsageError,
+     "variant must be 1 or 2, got True"),
+    ("spec-j0-float", lambda: CyclicIntervalSpec(1.0, 1, 2, 5), UsageError,
+     "variant must be 1 or 2, got 1.0"),
+    ("spec-t-bool", lambda: CyclicIntervalSpec(1, 1, 2, True), UsageError,
+     "universe size must be an integer, got True"),
+    ("spec-t-float", lambda: CyclicIntervalSpec(1, 1, 2, 5.5), UsageError,
+     "universe size must be an integer, got 5.5"),
+    ("spec-i1-float", lambda: CyclicIntervalSpec(1, 1.5, 2, 5), UsageError,
+     "i1 must be an integer, got 1.5"),
+    ("spec-i2-bool", lambda: CyclicIntervalSpec(2, 1, True, 5), UsageError,
+     "i2 must be an integer, got True"),
+    ("set-member-float", lambda: ColorSet.of(5, [2.5]), InputError,
+     r"colors \[2.5\] outside \[1, 5\]"),
+    ("set-member-bool", lambda: ColorSet.of(5, [True, 3]), InputError,
+     r"colors \[True\] outside \[1, 5\]"),
+    ("set-member-str", lambda: ColorSet.of(5, ["3", 0]), InputError,
+     r"colors \[0, '3'\] outside \[1, 5\]"),
+    ("set-t-float", lambda: ColorSet.of(5.0, [1]), UsageError,
+     "universe size must be an integer, got 5.0"),
+    ("set-t-bool", lambda: ColorSet.of(True, []), UsageError,
+     "universe size must be an integer, got True"),
+    ("color-float", lambda: intcyc_contains(CyclicIntervalSpec(1, 2, 5, 7), 2.5), UsageError,
+     "color must be an integer, got 2.5"),
+    ("color-bool", lambda: intcyc_contains(CyclicIntervalSpec(2, 2, 5, 7), True), UsageError,
+     "color must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, error, message", [pytest.param(*case[1:], id=case[0]) for case in _NOT_AN_INTEGER]
+)
+def test_a_value_that_is_not_an_integer_is_refused(build, error, message):
+    # a bool is an int to Python and 2.5 compares with ints, so each of
+    # these built a set or answered as a member
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
 def test_membership_matches_materialization_exhaustively():
     """intcyc_contains against each basic set materialized by set algebra
     (`_basic_set`), color by color, with 0 and t + 1 just outside [1, t]."""
