@@ -28,14 +28,17 @@ and holds exactly when m >= 8, which is the whole boundary story. (The
 gap-width inequality is implied by the bounds, so ordering it later loses
 nothing.)
 
-All arithmetic is exact integer arithmetic; set memberships go through the
-interval module's non-materializing membership test, so m up to 10^3
-(t0 up to 10^9) audits in microseconds.
+`_facts` computes every number of the argument once, with the six
+verdicts; `audit` only formats statements and witnesses from that record,
+and `audit_range` reads its verdicts. All arithmetic is exact integer
+arithmetic; set memberships go through the interval module's
+non-materializing membership test, so m up to 10^3 (t0 up to 10^9)
+audits in microseconds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Union
 
 from .errors import BudgetError, InternalError, UsageError
@@ -110,171 +113,148 @@ class AuditReport:
     notes: tuple[str, ...]
 
 
-def _endpoints(m: int, t0: int) -> tuple[int, int]:
-    """The gap endpoints: lower 4m-2, upper t0 - 4m + 4."""
-    return 4 * m - 2, t0 - 4 * m + 4
+class _Facts(NamedTuple):
+    """What `_facts` finds at (m, k0): every number of the argument and the
+    verdicts drawn from them. The other numbers the steps report are these
+    under other names: the mid bound's upper end m^2 + k0 - 4m + 3 is
+    i2 - 1; the gap width's right side, the palette-union bound and the arc
+    cover's lower end are i1; and both the gap width's left side and the
+    arc cover's upper end t0 - (4m - 2) + 2 are i2."""
 
-
-class _Verdicts(NamedTuple):
-    """What `_verdicts` finds: each step's verdict in STEP_ORDER, and the
-    conditions `audit` reports beside them."""
-
-    steps: tuple[bool, ...]
-    lower: bool  # 4m - 1 <= mid
-    upper: bool  # mid <= m^2 + k0 - 4m + 3
+    t0: int
+    mid: int  # floor(m^2 / 2)
+    lower: int  # 4m - 1
+    i1: int  # 4m - 2, the gap's lower end
+    i2: int  # m^2 + k0 - 4m + 4, the gap's upper end
+    target_lo: int  # min(i1, i2), or 0 if the gap is not instantiable
+    target_hi: int  # max(i1, i2), or 0 if the gap is not instantiable
+    steps: tuple[bool, ...]  # each step's verdict, in STEP_ORDER
+    lower_holds: bool  # 4m - 1 <= mid
+    upper_holds: bool  # mid <= i2 - 1
     instantiable: bool  # both gap endpoints lie in [1, t0]
     interior_empty: bool  # no color lies strictly inside the gap
     in_complement: bool  # mid lies in the closed complement of the gap
 
 
-def _verdicts(m: int, k0: int) -> _Verdicts:
+def _facts(m: int, k0: int) -> _Facts:
     """Every inequality and membership of the argument at (m, k0), each
-    written once here: `audit` turns the verdicts into statements and
+    written once here: `audit` turns the facts into statements and
     witnesses, and `audit_range` judges by the verdicts alone."""
     t0 = m**2 + k0
     mid = m**2 // 2
-    i1, i2 = _endpoints(m, t0)
-    bound = 4 * m - 2
-    inst = 1 <= i1 <= t0 and 1 <= i2 <= t0
-    lower = 4 * m - 1 <= mid
-    upper = mid <= m**2 + k0 - 4 * m + 3
-    gap_ok = m**2 + k0 - 4 * m + 4 > 4 * m - 2
-    member_ok = inst and intcyc_contains(
+    lower = 4 * m - 1
+    i1, i2 = 4 * m - 2, t0 - 4 * m + 4
+    instantiable = 1 <= i1 <= t0 and 1 <= i2 <= t0
+    target_lo, target_hi = (min(i1, i2), max(i1, i2)) if instantiable else (0, 0)
+    lower_holds = lower <= mid
+    upper_holds = mid <= i2 - 1
+    member_ok = instantiable and intcyc_contains(
         CyclicIntervalSpec(j0=1, i1=i1, i2=i2, t=t0, closed=False), mid
     )
-    union_ok = bound < t0
-    # An arc of length L <= bound containing color 1 occupies at most
-    # bound-1 colors after 1 and at most bound-1 before it, so the union of
-    # all such arcs is exactly [1, min(bound, t0)] U [max(t0-bound+2, 1), t0].
-    # Containment in [1, lo] U [hi, t0] therefore fails precisely when that
-    # cover meets the gap interior {lo+1, ..., hi-1}: on an empty interior
-    # the target is every color and containment is vacuous, and otherwise
-    # the cover must stop at lo on the left and start no earlier than hi on
-    # the right. The three-way form keeps the check exact rather than
-    # merely sufficient, so brute-force arc enumeration agrees with it on
-    # every instantiable parameter choice.
-    lo_end, hi_end = min(i1, i2), max(i1, i2)
-    interior_empty = inst and hi_end - lo_end <= 1
-    arc_ok = inst and (
-        interior_empty or (bound < t0 and bound <= lo_end and t0 - bound + 2 >= hi_end)
+    union_ok = i1 < t0
+    # An arc of length L <= i1 (the union bound) containing color 1 occupies
+    # at most i1 - 1 colors after 1 and at most i1 - 1 before it, so the
+    # union of all such arcs is exactly [1, min(i1, t0)] U [max(i2, 1), t0],
+    # as t0 - i1 + 2 is i2. Containment in [1, lo] U [hi, t0] therefore fails
+    # precisely when that cover meets the gap interior {lo+1, ..., hi-1}:
+    # on an empty interior the target is every color and containment is
+    # vacuous, and otherwise the cover must stop at lo on the left and
+    # start no earlier than hi on the right. The three-way form keeps the
+    # check exact rather than merely sufficient, so brute-force arc
+    # enumeration agrees with it on every instantiable parameter choice.
+    interior_empty = instantiable and target_hi - target_lo <= 1
+    arc_ok = instantiable and (
+        interior_empty or (union_ok and i1 <= target_lo and i2 >= target_hi)
     )
     # The clash: mid sits strictly inside the gap (mid-color-in-gap), yet
     # mid also sits in the union of the three palettes, which the previous
     # two steps confine to the complement of that gap's interior.
-    in_complement = inst and intcyc_contains(
+    in_complement = instantiable and intcyc_contains(
         CyclicIntervalSpec(j0=2, i1=i1, i2=i2, t=t0, closed=True), mid
     )
     clash_ok = member_ok and union_ok and arc_ok and not in_complement
-    return _Verdicts(
-        steps=(lower and upper, gap_ok, member_ok, union_ok, arc_ok, clash_ok),
-        lower=lower,
-        upper=upper,
-        instantiable=inst,
-        interior_empty=interior_empty,
-        in_complement=in_complement,
+    steps = (lower_holds and upper_holds, i2 > i1, member_ok, union_ok, arc_ok, clash_ok)
+    # positional, in field order: keywords would cost audit_range about a
+    # seventh of its time
+    return _Facts(
+        t0,
+        mid,
+        lower,
+        i1,
+        i2,
+        target_lo,
+        target_hi,
+        steps,
+        lower_holds,
+        upper_holds,
+        instantiable,
+        interior_empty,
+        in_complement,
     )
 
 
 def audit(params: AuditParams) -> AuditReport:
-    m, k0, t0 = params.m, params.k0, params.t0
-    mid = m**2 // 2
-    i1, i2 = _endpoints(m, t0)
-    bound = 4 * m - 2
-    found = _verdicts(m, k0)
-    bounds_ok, gap_ok, member_ok, union_ok, arc_ok, clash_ok = found.steps
-    inst = found.instantiable
-    steps: list[AuditStep] = []
-
-    steps.append(
-        AuditStep(
-            name=STEP_BOUNDS,
-            statement=f"{4 * m - 1} <= {mid} <= {m**2 + k0 - 4 * m + 3}",
-            holds=bounds_ok,
-            witnesses={
-                "lower": 4 * m - 1,
-                "mid": mid,
-                "upper": m**2 + k0 - 4 * m + 3,
-                "lower_holds": found.lower,
-                "upper_holds": found.upper,
-            },
-        )
-    )
-
-    steps.append(
-        AuditStep(
-            name=STEP_GAP,
-            statement=f"{m**2 + k0 - 4 * m + 4} > {4 * m - 2}",
-            holds=gap_ok,
-            witnesses={"left": m**2 + k0 - 4 * m + 4, "right": 4 * m - 2},
-        )
-    )
-
-    if inst:
+    m = params.m
+    f = _facts(m, params.k0)
+    t0, mid, i1, i2 = f.t0, f.mid, f.i1, f.i2
+    member_wit: dict[str, Union[int, bool, str]] = {"mid": mid, "i1": i1, "i2": i2}
+    if f.instantiable:
         member_stmt = f"{mid} strictly between {i1} and {i2} in [1, {t0}]"
-        member_wit: dict[str, Union[int, bool, str]] = {"mid": mid, "i1": i1, "i2": i2}
     else:
         member_stmt = f"endpoints ({i1}, {i2}) fall outside [1, {t0}]: gap not even formable"
-        member_wit = {"mid": mid, "i1": i1, "i2": i2, "instantiable": False}
-    steps.append(
-        AuditStep(name=STEP_MEMBER, statement=member_stmt, holds=member_ok, witnesses=member_wit)
-    )
-
-    steps.append(
-        AuditStep(
-            name=STEP_UNION,
-            statement=(
-                f"|union of palettes| <= {m} + {2 * m} + {m} - 2 = {bound} < {t0}"
-            ),
-            holds=union_ok,
-            witnesses={"bound": bound, "t0": t0, "shared_edges": 2},
+        member_wit["instantiable"] = False
+    target = f"[1, {f.target_lo}] U [{f.target_hi}, {t0}]"
+    if not f.instantiable:
+        arc_stmt = "target arc-pair not formable"
+    elif f.interior_empty:
+        arc_stmt = f"target {target} is every color; containment is vacuous"
+    else:
+        arc_stmt = (
+            f"arcs of length <= {i1} through color 1 lie in "
+            f"[1, {i1}] U [{i2}, {t0}] subset of {target}"
         )
-    )
-
-    lo_end, hi_end = (min(i1, i2), max(i1, i2)) if inst else (0, 0)
-    steps.append(
-        AuditStep(
-            name=STEP_ARC,
-            statement=(
-                (
-                    f"target [1, {lo_end}] U [{hi_end}, {t0}] is every color; "
-                    f"containment is vacuous"
-                    if found.interior_empty
-                    else f"arcs of length <= {bound} through color 1 lie in "
-                    f"[1, {bound}] U [{t0 - bound + 2}, {t0}] subset of "
-                    f"[1, {lo_end}] U [{hi_end}, {t0}]"
-                )
-                if inst
-                else "target arc-pair not formable"
-            ),
-            holds=arc_ok,
-            witnesses={
-                "bound": bound,
-                "cover_lo": bound,
-                "cover_hi": t0 - bound + 2,
-                "target_lo": lo_end,
-                "target_hi": hi_end,
-                "gap_interior_empty": found.interior_empty,
-                "instantiable": inst,
+    texts = (
+        (
+            f"{f.lower} <= {mid} <= {i2 - 1}",
+            {
+                "lower": f.lower,
+                "mid": mid,
+                "upper": i2 - 1,
+                "lower_holds": f.lower_holds,
+                "upper_holds": f.upper_holds,
             },
-        )
+        ),
+        (f"{i2} > {i1}", {"left": i2, "right": i1}),
+        (member_stmt, member_wit),
+        (
+            f"|union of palettes| <= {m} + {2 * m} + {m} - 2 = {i1} < {t0}",
+            {"bound": i1, "t0": t0, "shared_edges": 2},
+        ),
+        (
+            arc_stmt,
+            {
+                "bound": i1,
+                "cover_lo": i1,
+                "cover_hi": i2,
+                "target_lo": f.target_lo,
+                "target_hi": f.target_hi,
+                "gap_interior_empty": f.interior_empty,
+                "instantiable": f.instantiable,
+            },
+        ),
+        (
+            f"color {mid} must lie inside the gap interior and inside the "
+            f"palette union confined to its complement — impossible",
+            {"mid": mid, "mid_in_complement": f.in_complement},
+        ),
     )
-
-    steps.append(
-        AuditStep(
-            name=STEP_CLASH,
-            statement=(
-                f"color {mid} must lie inside the gap interior and inside the "
-                f"palette union confined to its complement — impossible"
-            ),
-            holds=clash_ok,
-            witnesses={"mid": mid, "mid_in_complement": found.in_complement},
-        )
-    )
-
-    failing = next((s.name for s in steps if not s.holds), None)
+    failing = next((name for name, ok in zip(STEP_ORDER, f.steps) if not ok), None)
     return AuditReport(
         params=params,
-        steps=tuple(steps),
+        steps=tuple(
+            AuditStep(name, statement, holds, witnesses)
+            for name, (statement, witnesses), holds in zip(STEP_ORDER, texts, f.steps)
+        ),
         passed=failing is None,
         failing_step=failing,
         assumptions=ASSUMPTIONS,
@@ -329,15 +309,15 @@ def audit_range(m_lo: int, m_hi: int) -> RangeSummary:
     entries: list[RangeEntry] = []
     for m in range(m_lo, m_hi + 1):
         k0_hi = m**3 - m**2
-        lo = _verdicts(m, 0).steps
-        passed_lo, passed_hi = all(lo), all(_verdicts(m, k0_hi).steps)
+        lo = _facts(m, 0).steps
+        passed_lo, passed_hi = all(lo), all(_facts(m, k0_hi).steps)
         if passed_lo and not passed_hi:
             raise InternalError(
                 f"monotonicity violated at m={m}: k0=0 passes but k0={k0_hi} fails"
             )
         exhaustive = m <= EXHAUSTIVE_LIMIT
         if exhaustive:
-            results = [all(_verdicts(m, k0).steps) for k0 in range(k0_hi + 1)]
+            results = [all(_facts(m, k0).steps) for k0 in range(k0_hi + 1)]
             for earlier, later in zip(results, results[1:]):
                 if earlier and not later:
                     raise InternalError(f"k0 sweep at m={m} is not upward-closed")
@@ -362,12 +342,7 @@ def audit_range(m_lo: int, m_hi: int) -> RangeSummary:
 # --- serialization ------------------------------------------------------------
 
 def step_to_dict(step: AuditStep) -> dict:
-    return {
-        "name": step.name,
-        "statement": step.statement,
-        "holds": step.holds,
-        "witnesses": dict(step.witnesses),
-    }
+    return asdict(step)
 
 
 def report_to_dict(report: AuditReport) -> dict:

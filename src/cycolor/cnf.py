@@ -30,9 +30,12 @@ assignments correspond one-to-one with valid colorings.
 With the ladders the clause count grows linearly in t: a ladder of
 4t - 7 clauses per edge and per vertex, 2t links per edge and t blocks
 over each vertex's edges. `encode` computes it first (`_clause_count`)
-and refuses more than CLAUSE_CAP clauses. One layout of the at-most-one blocks (`_amo_families`)
-gives the clauses, the counts, the auxiliary variables set by
-`model_from_coloring` and the comment block. Every clause holds the one
+and refuses more than CLAUSE_CAP clauses. One layout of the at-most-one
+blocks (`_amo_families`) gives the clauses, the counts, the auxiliary
+variables set by `model_from_coloring` and the comment block. It states
+each family by one rule: block k is the family's `bases` shifted by
+k * `step`, and its ladder's comment text is a head formatted once per
+block and a tail around i. Every clause holds the one
 int object of each of its literals, and `encode` builds the ladders and
 links with `zip` and `map` over slices of those literals. `to_dimacs`
 formats each literal once and writes a chunk of clauses as one join over
@@ -47,7 +50,7 @@ import json
 from dataclasses import dataclass, replace
 from itertools import chain, combinations, repeat
 from operator import add
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .coloring import Coloring, check_cyclically_interval
 from .errors import BudgetError, InputError, require_positive_int
@@ -72,15 +75,22 @@ def _amo_size(n: int) -> tuple[int, int]:
 
 
 class _AmoFamily(NamedTuple):
-    """`count` at-most-one blocks of `size` literals each. Block k is over
-    the variables `members(k)`, and `meaning(k, i, name)` says in the
-    comment block what its s_i stands for, `name` mapping each vertex to
-    its escaped label."""
+    """`count` at-most-one blocks of `len(bases)` literals each: block k is
+    over the variables `bases` shifted by k * `step`. In the comment block
+    the s_i of block k stands for `head` + (i + 1) + `tail`. `head` is
+    formatted twice, first with k and c = k + 1 and then with `names`, the
+    escaped vertex labels in vertex order, so `{{names[{k}]}}` in it names
+    the vertex of index k."""
 
-    size: int
+    bases: Sequence[int]
+    step: int
     count: int
-    members: Callable[[int], Sequence[int]]
-    meaning: Callable[[int, int, dict], str]
+    head: str
+    tail: str = ""
+
+    def members(self, k: int) -> list[int]:
+        shift = k * self.step
+        return [base + shift for base in self.bases]
 
 
 def _amo_families(g: Graph, t: int) -> list[_AmoFamily]:
@@ -88,31 +98,13 @@ def _amo_families(g: Graph, t: int) -> list[_AmoFamily]:
     vertex's incident edges at each color; each vertex's arc starts. The
     ladders' auxiliary variables follow x and a in this order."""
     n_edges = len(g.edges)
-
-    def colors_of(e: int) -> range:
-        return range(e * t + 1, e * t + t + 1)
-
-    def colors_meaning(e: int, i: int, name: dict) -> str:
-        return f"edge {e} color <= {i + 1}"
-
-    def starts_of(v_idx: int) -> range:
-        return colors_of(n_edges + v_idx)  # a(v, s) is numbered as x(|E| + v, s)
-
-    def starts_meaning(v_idx: int, i: int, name: dict) -> str:
-        return f"vertex {name[g.vertices[v_idx]]} arc-start <= {i + 1}"
-
-    families = [_AmoFamily(t, n_edges, colors_of, colors_meaning)]
-    for v in g.vertices:
+    families = [_AmoFamily(range(1, t + 1), t, n_edges, "edge {k} color <= ")]
+    for v_idx, v in enumerate(g.vertices):
         firsts = [i * t + 1 for _, i in g.adjacency[v]]  # x(i, 1) of each edge i at v
-
-        def edges_at(k: int, firsts=firsts) -> list[int]:
-            return [x + k for x in firsts]
-
-        def edges_meaning(k: int, i: int, name: dict, v=v) -> str:
-            return f"vertex {name[v]} color {k + 1} on its first {i + 1} edges"
-
-        families.append(_AmoFamily(len(firsts), t, edges_at, edges_meaning))
-    families.append(_AmoFamily(t, len(g.vertices), starts_of, starts_meaning))
+        head = "vertex {{names[%d]}} color {c} on its first " % v_idx
+        families.append(_AmoFamily(firsts, 1, t, head, " edges"))
+    starts = range(n_edges * t + 1, n_edges * t + t + 1)  # a(v, s) is x(|E| + v, s)
+    families.append(_AmoFamily(starts, t, len(g.vertices), "vertex {{names[{k}]}} arc-start <= "))
     return families
 
 
@@ -121,10 +113,10 @@ def _ladders(g: Graph, t: int) -> Iterator[tuple[_AmoFamily, int, int]]:
     index k there and its first auxiliary variable, the one for s_1."""
     aux = (len(g.edges) + len(g.vertices)) * t + 1
     for family in _amo_families(g, t):
-        if family.size >= _LADDER_FROM:
+        if len(family.bases) >= _LADDER_FROM:
             for k in range(family.count):
                 yield family, k, aux
-                aux += family.size - 2
+                aux += len(family.bases) - 2
 
 
 @dataclass(frozen=True)
@@ -135,7 +127,7 @@ class CnfEncoding:
 
     @property
     def num_vars(self) -> int:
-        aux = sum(f.count * _amo_size(f.size)[1] for f in _amo_families(self.g, self.t))
+        aux = sum(f.count * _amo_size(len(f.bases))[1] for f in _amo_families(self.g, self.t))
         return (len(self.g.edges) + len(self.g.vertices)) * self.t + aux
 
     def edge_var(self, e: int, c: int) -> int:
@@ -147,7 +139,8 @@ class CnfEncoding:
     def to_dimacs(self) -> str:
         # a label is written as its JSON string without the quotes, so a
         # line break in it cannot end the comment line
-        name = {v: json.dumps(v, ensure_ascii=False)[1:-1] for v in self.g.vertices}
+        names = [json.dumps(v, ensure_ascii=False)[1:-1] for v in self.g.vertices]
+        name = dict(zip(self.g.vertices, names))
         lines = []
         colors = range(1, self.t + 1)
         for e, (u, v) in enumerate(self.g.edges):
@@ -159,14 +152,16 @@ class CnfEncoding:
             about = f" : vertex {name[v]} arc-start "
             lines.extend(f"c var {var + s}{about}{s}\n" for s in colors)
         for family, k, aux in _ladders(self.g, self.t):
-            for i in range(1, family.size - 1):
-                lines.append(f"c var {aux + i - 1} : {family.meaning(k, i, name)}\n")
-        lines.append(f"p cnf {self.num_vars} {len(self.clauses)}\n")
+            head = family.head.format(k=k, c=k + 1).format(names=names)
+            s_i = range(1, len(family.bases) - 1)
+            lines.extend(f"c var {aux + i - 1} : {head}{i + 1}{family.tail}\n" for i in s_i)
+        n = self.num_vars
+        lines.append(f"p cnf {n} {len(self.clauses)}\n")
         # word[lit] is literal lit and the space after it, formatted once; a
         # negative lit indexes from the end of the list. No clause holds
         # literal 0, so word[0] is the clause terminator.
-        n = self.num_vars
-        word = [f"{lit} " for lit in range(n + 1)] + [f"{lit} " for lit in range(-n, 0)]
+        word = list(map(add, map(str, range(n + 1)), repeat(" ")))
+        word += map(add, repeat("-"), reversed(word[1:]))
         word[0] = "0\n"
         for at in range(0, len(self.clauses), _DIMACS_CHUNK):
             ended = map(add, self.clauses[at : at + _DIMACS_CHUNK], repeat((0,)))
@@ -213,8 +208,9 @@ class CnfEncoding:
         # s_i is true from the first true b on; s_i is variable aux + i - 1
         for family, k, aux in _ladders(self.g, self.t):
             members = family.members(k)
-            first = next((i for i, var in enumerate(members) if var in true_vars), family.size)
-            true_vars.update(range(aux + max(first, 1) - 1, aux + family.size - 2))
+            n = len(members)
+            first = next((i for i, var in enumerate(members) if var in true_vars), n)
+            true_vars.update(range(aux + max(first, 1) - 1, aux + n - 2))
         return true_vars
 
 
@@ -226,7 +222,7 @@ def _clause_count(g: Graph, t: int) -> int:
     return (
         len(g.edges)
         + len(g.vertices)
-        + sum(f.count * _amo_size(f.size)[0] for f in _amo_families(g, t))
+        + sum(f.count * _amo_size(len(f.bases))[0] for f in _amo_families(g, t))
         + 2 * len(g.edges) * t
         + sum(len(g.adjacency[v]) >= t for v in g.vertices)
         + t
@@ -250,11 +246,11 @@ def encode(g: Graph, t: int) -> CnfEncoding:
     colors = range(1, t + 1)
     clauses: list[tuple[int, ...]] = [tuple(pos[x(e, 1) : x(e, t) + 1]) for e in range(n_edges)]
     for family in _amo_families(g, t):
-        if family.size < _LADDER_FROM:
+        if len(family.bases) < _LADDER_FROM:
             for k in range(family.count):
                 clauses.extend(combinations(map(neg.__getitem__, family.members(k)), 2))
     for family, k, aux in _ladders(g, t):
-        n = family.size
+        n = len(family.bases)
         members = family.members(k)
         nb = list(map(neg.__getitem__, members))
         pb = list(map(pos.__getitem__, members))

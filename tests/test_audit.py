@@ -15,7 +15,7 @@ from cycolor.audit import (
     STEP_ORDER,
     STEP_UNION,
     AuditParams,
-    _verdicts,
+    _facts,
     audit,
     audit_range,
     report_to_dict,
@@ -143,20 +143,46 @@ def test_arc_step_agrees_with_brute_force_enumeration():
             assert step.holds == brute, (m, k0)
 
 
+# every k0 of every m the range sweeps, then a stride through m <= 60
+_SWEPT = [(m, k0) for m in range(2, 13) for k0 in range(m**3 - m**2 + 1)]
+_SWEPT += [
+    (m, k0)
+    for m in range(13, 61)
+    for k0 in (*range(0, m**3 - m**2, (m**3 - m**2) // 17), m**3 - m**2)
+]
+
+
 def test_verdicts_name_the_failing_step_of_the_full_report():
-    # every k0 of every m the range sweeps, then a stride through m <= 60
-    cases = [(m, k0) for m in range(2, 13) for k0 in range(m**3 - m**2 + 1)]
-    cases += [
-        (m, k0)
-        for m in range(13, 61)
-        for k0 in (*range(0, m**3 - m**2, (m**3 - m**2) // 17), m**3 - m**2)
-    ]
-    for m, k0 in cases:
-        flags = _verdicts(m, k0).steps
+    for m, k0 in _SWEPT:
+        flags = _facts(m, k0).steps
         report = audit(AuditParams(m=m, k0=k0))
         assert flags == tuple(s.holds for s in report.steps), (m, k0)
         first = next((name for name, ok in zip(STEP_ORDER, flags) if not ok), None)
         assert first == report.failing_step, (m, k0)
+
+
+def test_each_verdict_follows_from_the_witnesses_of_its_step():
+    for m, k0 in _SWEPT:
+        report = audit(AuditParams(m=m, k0=k0))
+        holds = {s.name: s.holds for s in report.steps}
+        w = {s.name: s.witnesses for s in report.steps}
+        bounds = w[STEP_BOUNDS]
+        assert bounds["lower_holds"] == (bounds["lower"] <= bounds["mid"]), (m, k0)
+        assert bounds["upper_holds"] == (bounds["mid"] <= bounds["upper"]), (m, k0)
+        assert holds[STEP_BOUNDS] == (bounds["lower_holds"] and bounds["upper_holds"]), (m, k0)
+        assert holds[STEP_GAP] == (w[STEP_GAP]["left"] > w[STEP_GAP]["right"]), (m, k0)
+        assert holds[STEP_UNION] == (w[STEP_UNION]["bound"] < w[STEP_UNION]["t0"]), (m, k0)
+        arc = w[STEP_ARC]
+        covered = arc["cover_lo"] <= arc["target_lo"] and arc["cover_hi"] >= arc["target_hi"]
+        assert holds[STEP_ARC] == (
+            arc["instantiable"] and (arc["gap_interior_empty"] or covered)
+        ), (m, k0)
+        assert holds[STEP_CLASH] == (
+            holds[STEP_MEMBER]
+            and holds[STEP_UNION]
+            and holds[STEP_ARC]
+            and not w[STEP_CLASH]["mid_in_complement"]
+        ), (m, k0)
 
 
 def test_range_entries_read_fresh_reports():

@@ -131,6 +131,24 @@ def test_comment_block_names_every_variable():
         assert named == [f"c var {var}" for var in range(1, enc.num_vars + 1)]
 
 
+def test_ladder_comments_name_each_vertex_by_its_label():
+    # labels that read as format fields must come out as written; at t=8
+    # every edge's colors, the hub's 8 edges at each color and every
+    # vertex's arc starts are ladders of 6 auxiliary variables
+    hub, leaves = "{k}", ["{names[0]}", "}", "{", "{{c}}", "l4", "l5", "l6", "l7"]
+    g = build_graph([hub, *leaves], [(hub, leaf) for leaf in leaves])
+    t = 8
+    lines = encode(g, t).to_dimacs().splitlines()
+    comments = [ln.split(" : ", 1)[1] for ln in lines if ln.startswith("c var ")]
+    s_i = range(2, 8)  # the comment of s_i reads i + 1
+    want = [f"edge {e} color <= {n}" for e in range(8) for n in s_i]
+    want += [
+        f"vertex {hub} color {c} on its first {n} edges" for c in range(1, 9) for n in s_i
+    ]
+    want += [f"vertex {v} arc-start <= {n}" for v in g.vertices for n in s_i]
+    assert comments[(len(g.edges) + len(g.vertices)) * t :] == want
+
+
 def test_a_ladder_fixes_its_auxiliary_variables():
     """Edge 0 of a one-edge path at t=8 is a ladder over x = 1..8 with the
     auxiliary variables 25..30, after the 24 of x and a. Every assignment of
