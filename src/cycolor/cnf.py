@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain, combinations, repeat
 from operator import add
 from typing import Iterator, NamedTuple, Sequence
@@ -125,7 +126,7 @@ class CnfEncoding:
     t: int
     clauses: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def num_vars(self) -> int:
         aux = sum(f.count * _amo_size(len(f.bases))[1] for f in _amo_families(self.g, self.t))
         return (len(self.g.edges) + len(self.g.vertices)) * self.t + aux

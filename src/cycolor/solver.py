@@ -88,15 +88,17 @@ is its own outcome.
 
 `brute_force_decide` is the deliberately independent ground truth: it
 enumerates every assignment in lexicographic order and shares no search
-logic with `decide`. Its default, vector, route is a blocked numpy sweep:
-every assignment of the last k edges (t^k <= _CHUNK) is laid out once, with
-each vertex's palette over those edges as a bitmask. The vertices whose
-edges all lie in those last k are judged once, and only the rows they allow
-are kept. The assignments of the first edges are walked in lex order, and
-under each one a vertex palette is judged, on the kept rows alone, by one
-lookup in a per-degree table over all 2^t bitmasks in which only the t arcs
-of deg colors (`intervals.arc_masks`) are set; it is empty when deg > t.
-Its arcs are those tables, not `cyclic_span`, so it shares none of
+logic with `decide`. Its default, vector, route is a blocked numpy sweep.
+The assignments of the last k edges (t^k <= _CHUNK), the rows, and of the
+first ones, the prefixes, are each laid out once as a digit table; the
+prefix table holds t^split rows, at most ENUMERATION_CAP * t / _CHUNK. A
+vertex's palette is the OR of its prefix part and its suffix part, the
+color bits of its edges in each table, judged by one lookup in a per-degree
+table over all 2^t bitmasks in which only the t arcs of deg colors
+(`intervals.arc_masks`) are set; it is empty when deg > t. A vertex whose
+edges all lie in one table filters that table once, and every other vertex
+is judged on a grid of kept prefixes x kept rows, a block of prefixes at a
+time. Its arcs are those tables, not `cyclic_span`, so it shares none of
 `decide`'s prunes. The tables cap t at _MAX_VECTOR_T; past it a sweep is
 refused. The literal route judges each assignment with the checker; the
 tests use it as the reference for the vector sweep, with blocks as small as
@@ -522,30 +524,28 @@ def certificate_prefix_survives(g: Graph, cert: Coloring) -> bool:
 
 # --- independent ground truth -------------------------------------------------
 
-def _union(bits: list[int], edges) -> int:
-    mask = 0
-    for e in edges:
-        mask |= bits[e]
-    return mask
-
-
 def _vector_sweep(
     g: Graph, t: int, count_all: bool
 ) -> tuple[int, Optional[Coloring]]:
     """Enumerate all t^|E| assignments in lex order with numpy, a block at a time.
 
-    The suffix is the last k edges, k the largest with t^k <= _CHUNK. Every
-    suffix assignment is laid out once per call: its digits, each vertex's
-    suffix palette and the union of its colors. The prefixes, assignments
-    to the first |E| - k edges, are walked in lex order, and each one fixes
-    a block of t^k assignments. Within a block a vertex's palette is its
-    suffix palette OR the colors its prefix edges carry, judged by one
-    lookup in ok[deg], which is True exactly at the arcs of deg colors: deg
-    distinct colors (properness) forming an arc. A vertex whose edges
-    all lie in the suffix is judged once per call, and only the suffix rows
-    that all such vertices allow are kept, so every block is judged on
-    those rows alone; one whose edges all lie in the prefix is judged once
-    per prefix, and its failure rules out the whole block.
+    The suffix is the last k edges, k the largest with t^k <= _CHUNK, and the
+    prefix the first split = |E| - k. The assignments of each are laid out
+    once per call as a digit table in lex order: t^k suffix rows and t^split
+    prefixes. Unless split is 0, t^(k+1) > _CHUNK, so the prefix table has at
+    most ENUMERATION_CAP * t / _CHUNK rows, about 1.5 * 10^5 with the default
+    chunk. A vertex has a prefix part, the OR of its prefix edges' color bits
+    with one entry per prefix, and a suffix part, the same over its suffix
+    edges with one entry per row. Its palette is the OR of the two, judged by
+    one lookup in ok[deg], which is True exactly at the arcs of deg colors:
+    deg distinct colors (properness) forming an arc. The cover, all edges at
+    once, is judged the same way by a table True only where every color is
+    used. One with edges in a single part filters that part's table once;
+    every other one is judged on a grid of kept prefixes x kept rows, taken
+    a block of prefixes at a time so that no block holds more than
+    max(_CHUNK, kept rows) cells. Prefixes and rows both increase, so the
+    first true cell of the first block that has one is the lex-first valid
+    assignment.
 
     Returns (count, first certificate). With count_all False, stops at the
     first valid assignment.
@@ -557,60 +557,50 @@ def _vector_sweep(
         raise BudgetError(
             f"vector sweep tabulates 2^t palette shapes; t={t} exceeds {_MAX_VECTOR_T}"
         )
-    full = (1 << t) - 1
     k = 0
     while k < n_edges and t ** (k + 1) <= _CHUNK:
         k += 1
     split = n_edges - k
-    # row r holds the suffix digits (0-based colors) of r written in base t
-    digits = np.indices((t,) * k, dtype=np.int8).reshape(k, t**k).T
-    bits = np.int32(1) << digits.astype(np.int32)
-    suffix_union = np.bitwise_or.reduce(bits, axis=1, initial=0)
+    # table 0 holds the prefixes, table 1 the suffix rows; row r of each holds
+    # the digits (0-based colors) of r written in base t
+    digits = [np.indices((t,) * n, dtype=np.int8).reshape(n, t**n).T for n in (split, k)]
+    bits = [np.int32(1) << d.astype(np.int32) for d in digits]
+    columns = [*bits[0].T, *bits[1].T]  # edge e's color bit in its part's table
 
     ok: dict[int, np.ndarray] = {}
-    base = np.ones(t**k, dtype=bool)  # what the suffix-only vertices allow
-    prefix_only: list[tuple[np.ndarray, list[int]]] = []
-    mixed: list[tuple[np.ndarray, list[int], np.ndarray]] = []
-    for incident in g.incidence:
-        if not incident:
-            continue
-        deg = len(incident)
-        if deg not in ok:
-            ok[deg] = np.zeros(1 << t, dtype=bool)
-            if deg <= t:  # more edges than colors cannot be proper
-                ok[deg][arc_masks(deg, t)] = True
-        head = [e for e in incident if e < split]
-        if len(head) == deg:
-            prefix_only.append((ok[deg], head))
-            continue
-        pal = np.zeros(t**k, dtype=np.int32)
-        for e in incident:
-            if e >= split:
-                pal |= bits[:, e - split]
-        if head:
-            mixed.append((ok[deg], head, pal))
+    for deg in {len(incident) for incident in g.incidence}:
+        ok[deg] = np.zeros(1 << t, dtype=bool)
+        if deg <= t:  # more edges than colors cannot be proper
+            ok[deg][arc_masks(deg, t)] = True
+    cover = np.zeros(1 << t, dtype=bool)
+    cover[-1] = True  # every color used
+    keep = [np.ones(len(d), dtype=bool) for d in digits]
+    mixed: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for ok_d, edges in [(cover, range(n_edges)), *((ok[len(inc)], inc) for inc in g.incidence)]:
+        parts = [0, 0]  # the first |= of a part makes it an array of its own
+        for e in edges:
+            parts[e >= split] |= columns[e]
+        sides = {e >= split for e in edges}
+        if len(sides) == 2:
+            mixed.append((ok_d, *parts))
         else:
-            base &= ok[deg][pal]
-    # Only the suffix rows that base allows can be valid under any prefix;
-    # rows is increasing, so the first valid one is still the lex-first.
-    rows = np.flatnonzero(base)
-    suffix_union = suffix_union[rows]
-    mixed = [(ok_d, head, pal[rows]) for ok_d, head, pal in mixed]
+            side = True in sides
+            keep[side] &= ok_d[parts[side]]
+    prefixes, rows = (np.flatnonzero(kept) for kept in keep)
+    mixed = [(ok_d, head[prefixes, None], tail[rows]) for ok_d, head, tail in mixed]
 
     count = 0
     first: Optional[Coloring] = None
-    for prefix in itertools.product(range(t), repeat=split):
-        pbits = [1 << d for d in prefix]
-        if not all(ok_d[_union(pbits, head)] for ok_d, head in prefix_only):
-            continue
-        valid = (suffix_union | _union(pbits, range(split))) == full
-        for ok_d, head, pal in mixed:
-            valid &= ok_d[pal | _union(pbits, head)]
+    step = max(1, _CHUNK // max(1, len(rows)))
+    for lo in range(0, len(prefixes), step):
+        valid = np.ones((len(prefixes[lo : lo + step]), len(rows)), dtype=bool)
+        for ok_d, head, tail in mixed:
+            valid &= ok_d[head[lo : lo + step] | tail]
         block_count = int(np.count_nonzero(valid))
         if block_count and first is None:
-            row = int(rows[np.argmax(valid)])
-            colors = tuple(d + 1 for d in prefix) + tuple(int(d) + 1 for d in digits[row])
-            first = Coloring(t=t, colors=colors)
+            i, j = divmod(int(np.argmax(valid)), len(rows))
+            cells = (*digits[0][prefixes[lo + i]], *digits[1][rows[j]])
+            first = Coloring(t=t, colors=tuple(int(d) + 1 for d in cells))
             if not count_all:
                 return 1, first
         count += block_count

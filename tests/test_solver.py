@@ -11,6 +11,7 @@ import os
 import pickle
 import random
 from pathlib import Path
+from typing import Iterator
 from unittest import mock
 
 import pytest
@@ -369,12 +370,21 @@ def test_oracle_methods_agree_on_the_small_graphs():
             assert (vec.status, vec.coloring) == (lit.status, lit.coloring), (g.edges, t)
 
 
-def _lex_index(c: Coloring) -> int:
-    """Position of an assignment in the lex order of all t^|E| assignments."""
-    index = 0
-    for color in c.colors:
-        index = index * c.t + color - 1
-    return index
+def _kept(g, t: int, edges: range) -> Iterator[tuple[int, ...]]:
+    """The assignments to `edges`, in lex order, that the vector sweep keeps
+    for its grid, found with the checker: those with no fault at a vertex
+    whose edges all lie in `edges`, nor an unused color when `edges` are all
+    of g's edges."""
+    inner = {v for v, incident in zip(g.vertices, g.incidence) if set(incident) <= set(edges)}
+    for part in itertools.product(range(1, t + 1), repeat=len(edges)):
+        colors = [1] * len(g.edges)
+        colors[edges.start : edges.stop] = part
+        faults = check_cyclically_interval(g, Coloring(t=t, colors=tuple(colors))).failures
+        if not any(
+            len(edges) == len(g.edges) if f.kind == KIND_COLOR_UNUSED else f.location in inner
+            for f in faults
+        ):
+            yield part
 
 
 def test_vector_sweep_blocks_agree_with_the_literal_sweep(monkeypatch):
@@ -386,7 +396,7 @@ def test_vector_sweep_blocks_agree_with_the_literal_sweep(monkeypatch):
         (gen_complete_bipartite(2, 3), 3),
         (gen_random_tree(7, 2), 4),
         (gen_gm(2), 4),
-        (gen_star(3), 2),  # the center has deg 3 > t: no suffix row survives
+        (gen_star(3), 2),  # the center has deg 3 > t: at the default chunk no row survives
     ]
     literal = {}
     for g, t in cases:
@@ -400,11 +410,23 @@ def test_vector_sweep_blocks_agree_with_the_literal_sweep(monkeypatch):
             count, first = literal[g.edges, t]
             assert count_colorings(g, t, method="vector") == count, (chunk, g.edges, t)
             assert brute_force_decide(g, t, method="vector").coloring == first, (chunk, t)
-            block = 1
-            while block * t <= chunk:
-                block *= t
-            past_first_block += first is not None and _lex_index(first) >= block
+            if first is None or chunk == default:
+                continue
+            # the last k edges take at most chunk rows, and a grid block
+            # holds max(1, chunk // kept rows) kept prefixes
+            split = len(g.edges)
+            while split and t ** (len(g.edges) - split + 1) <= chunk:
+                split -= 1
+            head = first.colors[:split]
+            rank = sum(1 for _ in itertools.takewhile(head.__gt__, _kept(g, t, range(split))))
+            rows = sum(1 for _ in _kept(g, t, range(split, len(g.edges))))
+            past_first_block += rank >= max(1, chunk // rows)
         assert past_first_block or chunk == default  # one default block holds every case
+    # With k = 0 every edge of the center (deg 3 > t) is a prefix edge, so
+    # the prefix filter keeps nothing.
+    monkeypatch.setattr(solver, "_CHUNK", 1)
+    assert count_colorings(gen_star(3), 2) == 0
+    assert brute_force_decide(gen_star(3), 2).status == NOT_COLORABLE
 
 
 @st.composite
