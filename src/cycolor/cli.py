@@ -38,13 +38,32 @@ from . import cnf as cnf_mod
 from . import coloring as coloring_mod
 from . import families, graphs, solver
 from .audit import audit_range, summary_to_dict
-from .errors import BudgetError, CycolorError, InputError, UsageError
+from .errors import BudgetError, CycolorError, InputError, InternalError, UsageError
 
 EXIT_OK = 0
 EXIT_CHECKED_FALSE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_BUDGET = 4
+
+# Each error kind's exit code and the label its message is printed under;
+# an InternalError is a failed self-check, a bug, not a refused input.
+_EXIT_FOR_ERROR = {
+    UsageError: (EXIT_USAGE, "error"),
+    InputError: (EXIT_IO, "error"),
+    BudgetError: (EXIT_BUDGET, "error"),
+    InternalError: (EXIT_IO, "internal error"),
+}
+
+# Each `gen --family`: its generator and the flags it takes, in call order.
+_FAMILIES = {
+    "gm": (families.gen_gm, ("m",)),
+    "path": (families.gen_path, ("n",)),
+    "cycle": (families.gen_cycle, ("n",)),
+    "star": (families.gen_star, ("n",)),
+    "kab": (families.gen_complete_bipartite, ("a", "b")),
+    "tree": (families.gen_random_tree, ("n", "seed")),
+}
 
 T = TypeVar("T")
 
@@ -100,26 +119,13 @@ def _outcome_dict(out: solver.SearchOutcome) -> dict:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    fam = args.family
-    if fam == "gm":
-        if args.m is None:
-            raise UsageError("--m is required for --family gm")
-        g = families.gen_gm(args.m)
-    elif fam in ("path", "cycle", "star"):
-        if args.n is None:
-            raise UsageError(f"--n is required for --family {fam}")
-        g = {"path": families.gen_path, "cycle": families.gen_cycle, "star": families.gen_star}[
-            fam
-        ](args.n)
-    elif fam == "kab":
-        if args.a is None or args.b is None:
-            raise UsageError("--a and --b are required for --family kab")
-        g = families.gen_complete_bipartite(args.a, args.b)
-    else:  # tree, the last of the --family choices
-        if args.n is None or args.seed is None:
-            raise UsageError("--n and --seed are required for --family tree")
-        g = families.gen_random_tree(args.n, args.seed)
-    _emit(graphs.to_json(g), args.out)
+    gen, flags = _FAMILIES[args.family]
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        need = " and ".join(f"--{flag}" for flag in flags)
+        verb = "is" if len(flags) == 1 else "are"
+        raise UsageError(f"{need} {verb} required for --family {args.family}")
+    _emit(graphs.to_json(gen(*values)), args.out)
     return EXIT_OK
 
 
@@ -225,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a family graph as JSON")
-    p.add_argument("--family", required=True, choices=["gm", "path", "cycle", "star", "kab", "tree"])
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--m", type=int, help="size parameter for the gm family")
     p.add_argument("--n", type=int, help="size for path (edges), cycle/tree (vertices), star (leaves)")
     p.add_argument("--a", type=int, help="left side size for kab")
@@ -279,18 +285,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except CycolorError as exc:  # InternalError: a self-check failed
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except CycolorError as exc:
+        code, label = _EXIT_FOR_ERROR[type(exc)]
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -34,8 +34,8 @@ and refuses more than CLAUSE_CAP clauses. One layout of the at-most-one
 blocks (`_amo_families`) gives the clauses, the counts, the auxiliary
 variables set by `model_from_coloring` and the comment block. It states
 each family by one rule: block k is the family's `bases` shifted by
-k * `step`, and its ladder's comment text is a head formatted once per
-block and a tail around i. Every clause holds the one
+k * `step`, and its ladder's comment text is a head, a function of k and
+the escaped vertex labels, and a tail around i. Every clause holds the one
 int object of each of its literals, and `encode` builds the ladders and
 links with `zip` and `map` over slices of those literals. `to_dimacs`
 formats each literal once and writes a chunk of clauses as one join over
@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, combinations, repeat
 from operator import add
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .coloring import Coloring, check_cyclically_interval
 from .errors import BudgetError, InputError, require_positive_int
@@ -78,15 +78,13 @@ def _amo_size(n: int) -> tuple[int, int]:
 class _AmoFamily(NamedTuple):
     """`count` at-most-one blocks of `len(bases)` literals each: block k is
     over the variables `bases` shifted by k * `step`. In the comment block
-    the s_i of block k stands for `head` + (i + 1) + `tail`. `head` is
-    formatted twice, first with k and c = k + 1 and then with `names`, the
-    escaped vertex labels in vertex order, so `{{names[{k}]}}` in it names
-    the vertex of index k."""
+    the s_i of block k stands for `head(k, names)` + (i + 1) + `tail`, where
+    `names` are the escaped vertex labels in vertex order."""
 
     bases: Sequence[int]
     step: int
     count: int
-    head: str
+    head: Callable[[int, Sequence[str]], str]
     tail: str = ""
 
     def members(self, k: int) -> list[int]:
@@ -99,13 +97,14 @@ def _amo_families(g: Graph, t: int) -> list[_AmoFamily]:
     vertex's incident edges at each color; each vertex's arc starts. The
     ladders' auxiliary variables follow x and a in this order."""
     n_edges = len(g.edges)
-    families = [_AmoFamily(range(1, t + 1), t, n_edges, "edge {k} color <= ")]
+    families = [_AmoFamily(range(1, t + 1), t, n_edges, lambda k, names: f"edge {k} color <= ")]
     for v_idx, v in enumerate(g.vertices):
         firsts = [i * t + 1 for _, i in g.adjacency[v]]  # x(i, 1) of each edge i at v
-        head = "vertex {{names[%d]}} color {c} on its first " % v_idx
+        head = lambda k, names, v=v_idx: f"vertex {names[v]} color {k + 1} on its first "
         families.append(_AmoFamily(firsts, 1, t, head, " edges"))
     starts = range(n_edges * t + 1, n_edges * t + t + 1)  # a(v, s) is x(|E| + v, s)
-    families.append(_AmoFamily(starts, t, len(g.vertices), "vertex {{names[{k}]}} arc-start <= "))
+    head = lambda k, names: f"vertex {names[k]} arc-start <= "
+    families.append(_AmoFamily(starts, t, len(g.vertices), head))
     return families
 
 
@@ -153,7 +152,7 @@ class CnfEncoding:
             about = f" : vertex {name[v]} arc-start "
             lines.extend(f"c var {var + s}{about}{s}\n" for s in colors)
         for family, k, aux in _ladders(self.g, self.t):
-            head = family.head.format(k=k, c=k + 1).format(names=names)
+            head = family.head(k, names)
             s_i = range(1, len(family.bases) - 1)
             lines.extend(f"c var {aux + i - 1} : {head}{i + 1}{family.tail}\n" for i in s_i)
         n = self.num_vars

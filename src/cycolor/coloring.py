@@ -1,6 +1,6 @@
 """Edge-coloring certificates and the two checkers.
 
-A Coloring is a flat array of colors over a graph's edge indices plus the
+A Coloring is a flat tuple of colors over a graph's edge indices plus the
 palette size t. `check_proper` demands that adjacent edges differ and that
 every color in [1, t] actually appears. `check_cyclically_interval`
 additionally demands that every vertex's palette — the set of colors on
@@ -11,7 +11,8 @@ can be repaired in one pass.
 The palette condition here is written out directly from its two-clause
 form on purpose, independently of intervals.is_cyclic_interval, which is
 the span test of intervals.cyclic_span; the test suite asserts the two
-formulations agree.
+formulations agree. Only that test is the checker's own: a failure's
+text lists a palette's colors with intervals.mask_colors.
 
 Both checkers are one pass over the graph's per-vertex incidence, with each
 palette held as a bitmask; the graph's connectivity is computed once per
@@ -21,11 +22,11 @@ graph and kept. Failure objects are built only for a coloring that fails.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import BudgetError, InputError, UsageError
-from .graphs import Graph, require_match
-from .intervals import ColorSet
+from .graphs import Graph, _read_json, require_match
+from .intervals import ColorSet, mask_colors
 
 KIND_NOT_PROPER = "not-proper"
 KIND_COLOR_UNUSED = "color-unused"
@@ -55,6 +56,11 @@ class Coloring:
         for idx, c in enumerate(self.colors):
             if not isinstance(c, int) or isinstance(c, bool) or not 1 <= c <= self.t:
                 raise InputError(f"color {c!r} at edge {idx} outside [1, {self.t}]")
+        # Last, so colors the loop refuses keep its message. A list would be
+        # kept unhashable and unequal to the same colors as a tuple, and a
+        # generator would be kept consumed.
+        if not isinstance(self.colors, tuple):
+            raise InputError(f"colors must be a tuple, got {type(self.colors).__name__}")
 
 
 @dataclass(frozen=True)
@@ -101,12 +107,6 @@ def check_cyclically_interval(g: Graph, c: Coloring) -> Verdict:
 
 
 _PASS = Verdict(ok=True, failures=())
-
-
-def _members(mask: int) -> list[int]:
-    """The colors in a palette bitmask (bit c = color c), ascending, in one
-    pass over its binary digits."""
-    return [color for color, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def _scan(g: Graph, c: Coloring, palettes: bool) -> Verdict:
@@ -166,7 +166,7 @@ def _scan(g: Graph, c: Coloring, palettes: bool) -> Verdict:
                         detail=f"color {color} repeats on edges {by_color[color]}",
                     )
                 )
-    for color in _members(full ^ used):
+    for color in mask_colors((full ^ used) >> 1):
         failures.append(
             Failure(
                 kind=KIND_COLOR_UNUSED,
@@ -180,8 +180,8 @@ def _scan(g: Graph, c: Coloring, palettes: bool) -> Verdict:
                 kind=KIND_BAD_PALETTE,
                 location=v,
                 detail=(
-                    f"palette {_members(mask)} is not an interval of [1, {c.t}] "
-                    f"and neither is its complement {_members(full ^ mask)}"
+                    f"palette {mask_colors(mask >> 1)} is not an interval of [1, {c.t}] "
+                    f"and neither is its complement {mask_colors((full ^ mask) >> 1)}"
                 ),
             )
         )
@@ -209,18 +209,9 @@ def to_json(c: Coloring) -> str:
 
 
 def from_json(text: str) -> Coloring:
-    try:
-        data = json.loads(text)
-    # ValueError: malformed JSON or an over-long integer; RecursionError: deep nesting
-    except (ValueError, RecursionError) as exc:
-        raise InputError(f"not valid JSON: {exc}") from exc
-    return from_dict(data)
+    return from_dict(_read_json(text))
 
 
 def verdict_to_dict(v: Verdict) -> dict:
-    return {
-        "ok": v.ok,
-        "failures": [
-            {"kind": f.kind, "location": f.location, "detail": f.detail} for f in v.failures
-        ],
-    }
+    """The verdict as a dict; its `failures` is a tuple of dicts."""
+    return asdict(v)

@@ -21,7 +21,8 @@ edge to y_{j,q}.
 Every generator refuses a size that is not an integer in range, a bool
 included, with a UsageError. It then checks the closed-form edge count of
 the graph it is asked for against EDGE_CAP before it builds anything, and
-refuses a larger graph with a BudgetError.
+refuses a larger graph with a BudgetError. Last, `gen_random_tree`
+refuses a seed that is not an integer, a bool included, with a UsageError.
 """
 
 from __future__ import annotations
@@ -132,6 +133,9 @@ def gen_random_tree(n: int, seed: int) -> Graph:
     """
     _require_size("tree needs >= 1 vertex", 1, n)
     _require_edge_count(f"tree({n})", n - 1)
+    # None would seed from the clock, and True would give seed 1's tree
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise UsageError(f"seed must be an integer, got {seed!r}")
     vertices = [f"v{k}" for k in range(1, n + 1)]
     if n == 1:
         return build_graph(vertices, [])

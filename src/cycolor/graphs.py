@@ -378,13 +378,17 @@ def to_json(g: Graph) -> str:
     return json.dumps(to_dict(g), indent=2) + "\n"
 
 
-def from_json(text: str) -> Graph:
+def _read_json(text: str):
+    """The object a JSON text holds; the one reader of graph and coloring JSON."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     # ValueError: malformed JSON or an over-long integer; RecursionError: deep nesting
     except (ValueError, RecursionError) as exc:
         raise InputError(f"not valid JSON: {exc}") from exc
-    return from_dict(data)
+
+
+def from_json(text: str) -> Graph:
+    return from_dict(_read_json(text))
 
 
 def to_dot(g: Graph, coloring=None) -> str:

@@ -92,6 +92,26 @@ def test_gen_usage_errors(tmp_path, capsys):
     assert "unrecognized arguments: --exhaustive-limit 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--family", "gm"], "--m is required for --family gm"),
+        (["--family", "path"], "--n is required for --family path"),
+        (["--family", "cycle"], "--n is required for --family cycle"),
+        (["--family", "star", "--m", "3"], "--n is required for --family star"),
+        (["--family", "kab"], "--a and --b are required for --family kab"),
+        (["--family", "kab", "--a", "2"], "--a and --b are required for --family kab"),
+        (["--family", "kab", "--b", "2"], "--a and --b are required for --family kab"),
+        (["--family", "tree", "--n", "5"], "--n and --seed are required for --family tree"),
+        (["--family", "tree", "--seed", "1"], "--n and --seed are required for --family tree"),
+    ],
+)
+def test_gen_names_the_flags_a_family_needs(capsys, flags, message):
+    assert main(["gen", *flags]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_check_accepts_and_rejects(tmp_path, capsys):
     g = gen_cycle(5)
     gp = _write_graph(tmp_path, g)

@@ -52,6 +52,18 @@ def test_coloring_validation():
     assert Coloring(Color(2), (2, Color(1))).t == 2
 
 
+def test_coloring_takes_its_colors_as_a_tuple():
+    # a list kept as given would be unhashable and unequal to the same colors
+    # as a tuple, and a generator would be kept consumed
+    for colors in ([1, 2, 3], (c for c in (1, 2, 3)), range(1, 4)):
+        with pytest.raises(InputError, match=f"^colors must be a tuple, got {type(colors).__name__}$"):
+            Coloring(3, colors)
+    # a color out of range is named first, as for a tuple
+    with pytest.raises(InputError, match=r"^color 3 at edge 1 outside \[1, 2\]$"):
+        Coloring(2, [1, 3])
+    assert hash(Coloring(3, (1, 2, 3))) == hash(from_json('{"t": 3, "colors": [1, 2, 3]}'))
+
+
 def test_palette_examples():
     star = gen_star(3)
     c = Coloring(3, (1, 2, 3))

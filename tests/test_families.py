@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from cycolor import families
@@ -194,6 +196,15 @@ def test_random_tree_is_deterministic_per_seed():
     # the Pruefer sequence of n=2 is empty: every seed decodes the one edge
     for seed in range(3):
         assert gen_random_tree(2, seed).edges == (("v1", "v2"),)
+
+
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("seed", [None, True, 1.5, "1"], ids=["None", "True", "float", "str"])
+def test_random_tree_refuses_a_seed_that_is_not_an_integer(n, seed):
+    # None would seed from the clock, a new tree on each call, and True
+    # would give seed 1's tree; one vertex needs no seed but is refused alike
+    with pytest.raises(UsageError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        gen_random_tree(n, seed)
 
 
 def test_random_tree_is_a_tree():

@@ -314,8 +314,8 @@ def test_reach_ceiling_matches_a_plain_relaxation(monkeypatch):
 def test_reach_ceiling_of_gm_has_a_closed_form():
     # The hub gives m^2 + 2m - 2 and a grid vertex 7m - 4; the docstring of
     # test_spectrum_of_gm7_is_refuted_by_the_reach_ceiling derives both.
-    # gm(9) and up are past the root cap, where only the hub and the first
-    # grid vertex are tried.
+    # gm(10) and up, 146 vertices or more, are past the root cap, where only
+    # the hub and the first grid vertex are tried.
     for m in range(2, 13):
         assert gen_gm(m).reach_ceiling.bound == min(m * m + 2 * m - 2, 7 * m - 4), m
 
