@@ -140,9 +140,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = _load(args.graph, graphs.from_json)
     cfg = solver.SolverConfig(
-        symmetry_breaking=not args.no_symmetry_breaking,
-        node_budget=args.budget_nodes,
-        time_budget=args.budget_seconds,
+        node_budget=args.budget_nodes, time_budget=args.budget_seconds
     )
     out = solver.decide(g, args.t, cfg)
     if out.status == solver.COLORABLE:
@@ -249,7 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--budget-nodes", type=int, default=None)
     p.add_argument("--budget-seconds", type=float, default=None)
-    p.add_argument("--no-symmetry-breaking", action="store_true")
     p.add_argument("--out", help="write certificate/outcome JSON to file")
 
     p = sub.add_parser("spectrum", help="decide a whole t range")

@@ -85,9 +85,9 @@ class TreeWidth:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable graph. `adjacency` maps each vertex to (neighbor, edge_index) pairs.
+    """Immutable graph, compared and hashed by its vertices and edges.
 
-    Properties derived from the structure (`incidence`, `max_degree`,
+    Properties derived from them (`adjacency`, `incidence`, `max_degree`,
     `twin_classes`, `connected`, `reach_ceiling`, `tree_width`) are
     computed on first use and kept, since the graph never changes; a
     pickled copy carries the ones computed.
@@ -95,7 +95,15 @@ class Graph:
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
-    adjacency: dict[str, tuple[tuple[str, int], ...]]
+
+    @functools.cached_property
+    def adjacency(self) -> dict[str, tuple[tuple[str, int], ...]]:
+        """Each vertex's (neighbour, edge index) pairs, in edge order."""
+        adj: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
+        for idx, (u, v) in enumerate(self.edges):
+            adj[u].append((v, idx))
+            adj[v].append((u, idx))
+        return {v: tuple(pairs) for v, pairs in adj.items()}
 
     @functools.cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
@@ -269,6 +277,11 @@ class NotBipartite:
 
 def build_graph(vertices: list[str], edges: list[tuple[str, str]]) -> Graph:
     """Validate and freeze a graph. Preserves vertex and edge order exactly."""
+    if not all(isinstance(v, str) for v in vertices):
+        raise InputError("'vertices' must be a list of strings")
+    for e in edges:
+        if not isinstance(e, (tuple, list)) or len(e) != 2 or not all(isinstance(x, str) for x in e):
+            raise InputError(f"malformed edge entry: {e!r}")
     seen_v: set[str] = set()
     for v in vertices:
         if v in seen_v:
@@ -286,15 +299,7 @@ def build_graph(vertices: list[str], edges: list[tuple[str, str]]) -> Graph:
         if key in seen_e:
             raise InputError(f"edge {{{u!r}, {v!r}}} listed twice")
         seen_e.add(key)
-    adj: dict[str, list[tuple[str, int]]] = {v: [] for v in vertices}
-    for idx, (u, v) in enumerate(edges):
-        adj[u].append((v, idx))
-        adj[v].append((u, idx))
-    return Graph(
-        vertices=tuple(vertices),
-        edges=tuple((u, v) for u, v in edges),
-        adjacency={v: tuple(pairs) for v, pairs in adj.items()},
-    )
+    return Graph(vertices=tuple(vertices), edges=tuple((u, v) for u, v in edges))
 
 
 def require_match(g: Graph, coloring) -> None:
@@ -362,16 +367,11 @@ def from_dict(data: dict) -> Graph:
         raise InputError("graph object needs 'vertices' and 'edges' keys")
     vertices = data["vertices"]
     edges = data["edges"]
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+    if not isinstance(vertices, list):
         raise InputError("'vertices' must be a list of strings")
     if not isinstance(edges, list):
         raise InputError("'edges' must be a list of two-element lists")
-    pairs: list[tuple[str, str]] = []
-    for e in edges:
-        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, str) for x in e):
-            raise InputError(f"malformed edge entry: {e!r}")
-        pairs.append((e[0], e[1]))
-    return build_graph(vertices, pairs)
+    return build_graph(vertices, edges)
 
 
 def to_json(g: Graph) -> str:

@@ -30,10 +30,13 @@ formulation on purpose.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InputError, UsageError
+
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # a binary digit as the byte 0 or 1
 
 
 @dataclass(frozen=True)
@@ -114,13 +117,18 @@ def is_cyclic_interval(q: ColorSet) -> bool:
 
 
 def mask_colors(mask: int) -> list[int]:
-    """The colors of a bitmask palette (bit c-1 = color c), ascending."""
-    colors = []
-    while mask:
-        low = mask & -mask
-        colors.append(low.bit_length())
-        mask ^= low
-    return colors
+    """The colors of a bitmask palette (bit c-1 = color c), ascending, in
+    time linear in the mask's length."""
+    if mask.bit_count() <= 16:  # lowest first, a pass over the mask per color
+        colors = []
+        while mask:
+            low = mask & -mask
+            colors.append(low.bit_length())
+            mask ^= low
+        return colors
+    # one pass over the binary digits, which costs more when the colors are few
+    digits = bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)  # byte c-1 is 1 for color c
+    return list(itertools.compress(range(1, len(digits) + 1), digits))
 
 
 def _gaps(xs: list[int], t: int) -> list[int]:

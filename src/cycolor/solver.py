@@ -140,14 +140,10 @@ _CHUNK = 1 << 17
 
 @dataclass(frozen=True)
 class SolverConfig:
-    symmetry_breaking: bool = True
     node_budget: Optional[int] = None
     time_budget: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # tested only for truth, so "false" would search with the rules on
-        if not isinstance(self.symmetry_breaking, bool):
-            raise UsageError(f"symmetry_breaking must be a bool, got {self.symmetry_breaking!r}")
         if self.node_budget is not None:
             require_positive_int("node_budget", self.node_budget)
         seconds = self.time_budget
@@ -294,8 +290,8 @@ def _plan_of(g: Graph) -> _Plan:
 
 
 def _symmetry_rules(plan: _Plan, t: int) -> list[int]:
-    """The `allowed` of `_search` under symmetry breaking, for t from the
-    max degree Δ to |E| on a connected graph; its `gt` is plan.gt.
+    """The `allowed` that `decide` gives `_search`, for t from the max
+    degree Δ to |E| on a connected graph; its `gt` is plan.gt.
 
     h is the root of the plan's order, the first vertex of degree Δ, whose
     Δ edges lead. Color rotation and permutations of a false-twin class map
@@ -336,10 +332,9 @@ def _search(
     allows each position only its certificate's color. gt[p], when it is
     below the number of positions, is an earlier position whose color p
     must exceed (gt has one more entry than there are positions); `decide`
-    passes plan.gt under symmetry breaking, and without gt no position has
-    such a bound. Of cfg, only the budgets are read. Returns the outcome,
-    without a coloring, and the color bit placed at each position, which is
-    a complete assignment when the outcome is COLORABLE.
+    passes plan.gt, and without gt no position has such a bound. Returns
+    the outcome, without a coloring, and the color bit placed at each
+    position, which is a complete assignment when the outcome is COLORABLE.
     """
     eu, ev, degree = plan.eu, plan.ev, plan.degree
     n_edges = len(eu)
@@ -492,10 +487,7 @@ def decide(g: Graph, t: int, cfg: Optional[SolverConfig] = None) -> SearchOutcom
         )
     else:
         plan = _plan_of(g)
-        if cfg.symmetry_breaking:
-            outcome, placed = _search(plan, t, _symmetry_rules(plan, t), cfg, plan.gt)
-        else:
-            outcome, placed = _search(plan, t, [(1 << t) - 1] * n_edges, cfg)
+        outcome, placed = _search(plan, t, _symmetry_rules(plan, t), cfg, plan.gt)
         status, reason, nodes = outcome.status, outcome.reason, outcome.nodes
         if status == COLORABLE:
             coloring = _certificate(g, plan.order, t, placed, check_cyclically_interval)

@@ -227,14 +227,15 @@ def test_spectrum_past_the_chromatic_index_search_limit(tmp_path, capsys):
 
 def test_solve_flag_variants(tmp_path, capsys):
     gp = _write_graph(tmp_path, gen_cycle(5))
-    argv = ["solve", "--graph", gp, "--t", "3", "--no-symmetry-breaking"]
-    assert main(argv) == EXIT_OK
+    assert main(["solve", "--graph", gp, "--t", "3"]) == EXIT_OK
     cert = coloring_mod.from_json(capsys.readouterr().out)
     assert check_cyclically_interval(gen_cycle(5), cert).ok
-    # the search has one edge order, so there is no flag to choose one
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--graph", gp, "--t", "3", "--edge-order", "input"])
-    assert exc.value.code == EXIT_USAGE
+    # the search has one edge order and one set of symmetry rules, so there
+    # is no flag to choose either
+    for flag in (["--edge-order", "input"], ["--no-symmetry-breaking"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--graph", gp, "--t", "3", *flag])
+        assert exc.value.code == EXIT_USAGE, flag
 
 
 def test_spectrum_payload(tmp_path, capsys):
@@ -507,11 +508,20 @@ def test_out_overwrites_a_longer_file(tmp_path):
     assert out.read_text(encoding="utf-8") == graphs.to_json(gen_path(2))
 
 
+def _checkout_env() -> dict[str, str]:
+    """The environment with this checkout's `src` first on PYTHONPATH, so a
+    fresh interpreter imports the package under test, installed or not."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_module_runs_as_a_script():
     proc = subprocess.run(
         [sys.executable, "-m", "cycolor.cli", "gen", "--family", "path", "--n", "2"],
         capture_output=True,
         text=True,
+        env=_checkout_env(),
     )
     assert proc.returncode == 0
     assert graphs.from_json(proc.stdout) == gen_path(2)
@@ -551,12 +561,10 @@ assert "numpy" in sys.modules
 
 
 def test_cold_start_loads_no_numpy_or_pool(tmp_path):
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_START, str(tmp_path)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_checkout_env(),
     )
     assert proc.returncode == 0, proc.stderr

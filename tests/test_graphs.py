@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
+import pickle
 import random
 import re
 
@@ -31,7 +33,7 @@ from cycolor.graphs import (
     to_dot,
     to_json,
 )
-from cycolor.solver import COLORABLE, brute_force_decide, chromatic_index
+from cycolor.solver import COLORABLE, brute_force_decide, chromatic_index, decide
 
 
 def _k4():
@@ -72,6 +74,24 @@ def test_build_rejects_bad_input():
         build_graph(["a", "a"], [])
     with pytest.raises(InputError, match="'c' is not a vertex"):
         build_graph(["a", "b"], [("a", "c")])
+    # labels are strings and an edge is a pair of them, as from_json reads them
+    for edge in (("a", "b", "c"), ("a",), "ab", ("a", None)):
+        with pytest.raises(InputError, match=re.escape(f"malformed edge entry: {edge!r}")):
+            build_graph(["a", "b"], [edge])
+    for vertices, edges in (([["a"], "b"], []), (["a", 1], [("a", 1)])):
+        with pytest.raises(InputError, match="'vertices' must be a list of strings"):
+            build_graph(vertices, edges)
+
+
+def test_a_graph_is_its_vertices_and_edges():
+    assert [f.name for f in dataclasses.fields(graphs.Graph)] == ["vertices", "edges"]
+    g = gen_gm(2)
+    decide(g, 4)  # computes and keeps the derived properties and the search plan
+    for copy in (from_json(to_json(g)), pickle.loads(pickle.dumps(g))):
+        assert copy == g and hash(copy) == hash(g)
+        assert copy.adjacency == g.adjacency
+    assert {g: "gm(2)"}[from_json(to_json(g))] == "gm(2)"
+    assert build_graph(g.vertices, g.edges[::-1]) != g  # edge order is part of a graph
 
 
 def test_connectivity():

@@ -290,3 +290,16 @@ def test_arc_masks_are_every_arc_of_each_length():
                 every = {m for m, span in spans.items() if span == bin(m).count("1") == length}
                 assert set(masks) == every, (t, length)
 
+
+
+def test_mask_colors_lists_the_bits_of_masks_of_up_to_100000_bits():
+    rng = random.Random(4)
+    for n in (1, 16, 17, 64, 1000, 10**5):
+        # either side of the bit-by-bit walk's 16 colors, sparse and dense
+        for k in sorted({k for k in (0, 1, 16, 17, n // 2, n) if k <= n}):
+            digits = ["0"] * n
+            for c in rng.sample(range(n), k):
+                digits[c] = "1"
+            mask = int("".join(reversed(digits)), 2)
+            want = [c for c in range(1, n + 1) if mask >> (c - 1) & 1]
+            assert len(want) == k and mask_colors(mask) == want, (n, k)

@@ -60,12 +60,15 @@ def _reflect(c: Coloring) -> Coloring:
     return Coloring(c.t, tuple(c.t + 1 - x for x in c.colors))
 
 
-def _searched(g, t, cfg=SolverConfig()):
+def _searched(g, t, cfg=SolverConfig(), rules=True):
     """The outcome of the search itself at t, run on the plan as `decide`
     runs it but with no answer by argument before it: the walks that the
-    node-count pins follow go on past the reach ceiling, and on trees."""
+    node-count pins follow go on past the reach ceiling, and on trees.
+    With rules=False it is the rule-free search that the rules are checked
+    against: every color allowed and no twin order, the route the prefix
+    replay and `_proper_search` take."""
     plan = solver._plan(g)
-    if cfg.symmetry_breaking:
+    if rules:
         out, _ = solver._search(plan, t, solver._symmetry_rules(plan, t), cfg, plan.gt)
     else:
         out, _ = solver._search(plan, t, [(1 << t) - 1] * len(plan.order), cfg)
@@ -109,18 +112,11 @@ def test_decide_validates_inputs():
         with pytest.raises(UsageError, match=f"time_budget must be a positive number, got {bad!r}"):
             SolverConfig(time_budget=bad)
     assert SolverConfig(time_budget=1).time_budget == 1
-    for bad in ("false", 0, None):
-        with pytest.raises(UsageError, match=f"symmetry_breaking must be a bool, got {bad!r}"):
-            SolverConfig(symmetry_breaking=bad)
 
 
 def test_the_search_options_are_pinned():
     # A new search knob doubles the configurations to test: add it here on purpose.
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == [
-        "symmetry_breaking",
-        "node_budget",
-        "time_budget",
-    ]
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["node_budget", "time_budget"]
     # the search plan is built inside; no entry point takes one
     assert list(inspect.signature(decide).parameters) == ["g", "t", "cfg"]
     assert list(inspect.signature(spectrum).parameters) == [
@@ -192,10 +188,9 @@ def test_symmetry_breaking_preserves_the_answer():
     for g, t in cases:
         # decide refutes gm(2) at t=7 by its reach ceiling, so the searches
         # are compared on their own too
+        off = _searched(g, t, rules=False)
         for run in (decide, _searched):
-            on = run(g, t, SolverConfig(symmetry_breaking=True))
-            off = run(g, t, SolverConfig(symmetry_breaking=False))
-            assert on.status == off.status, (run.__name__, t)
+            assert run(g, t).status == off.status, (run.__name__, t)
 
 
 def test_budgets_interrupt_instead_of_lying():
@@ -461,7 +456,7 @@ def test_oracle_routes_agree_with_decide_on_random_graphs(case, chunk):
     assert count == count_colorings(g, t, method="literal")
     want = brute_force_decide(g, t).status
     assert decide(g, t).status == want
-    assert decide(g, t, SolverConfig(symmetry_breaking=False)).status == want
+    assert _searched(g, t, rules=False).status == want
 
 
 @st.composite
@@ -501,7 +496,7 @@ def test_decide_agrees_with_the_oracle_on_graphs_with_false_twins(case):
     g, t = case
     want = brute_force_decide(g, t).status
     assert decide(g, t).status == want, (g.edges, t)
-    assert decide(g, t, SolverConfig(symmetry_breaking=False)).status == want, (g.edges, t)
+    assert _searched(g, t, rules=False).status == want, (g.edges, t)
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -646,10 +641,9 @@ def test_node_counts_are_pinned():
             assert (out.status, out.nodes) == (status, nodes), t
     out = _searched(gen_gm(3), 14, SolverConfig(node_budget=10_000))
     assert (out.status, out.nodes) == (BUDGET_EXCEEDED, 10_001)
-    unbroken = SolverConfig(symmetry_breaking=False)
     for t, (status, nodes) in {4: (COLORABLE, 8), 5: (COLORABLE, 18), 6: (COLORABLE, 38),
                                7: (NOT_COLORABLE, 5131), 8: (NOT_COLORABLE, 3152)}.items():
-        out = decide(gen_gm(2), t, unbroken) if t <= 6 else _searched(gen_gm(2), t, unbroken)
+        out = _searched(gen_gm(2), t, rules=False)
         assert (out.status, out.nodes) == (status, nodes), t
     # a tree whose twin class (11, 17) is chained in the plan, at 10k nodes;
     # `decide` answers every t of a tree by its width, so all are searched here
@@ -658,19 +652,19 @@ def test_node_counts_are_pinned():
     found = dict(zip(range(4, 14), (21, 27, 43, 33, 259, 135, 214, 2116, 3613, 2483)))
     found_unbroken = {**found, **dict(zip(range(8, 14), (435, 210, 290, 3508, 5323, 3077)))}
     over = (BUDGET_EXCEEDED, 10_001)
-    for sym, found_at, refuted in (
+    cfg = SolverConfig(node_budget=10_000)
+    for rules, found_at, refuted in (
         (True, found, {18: 5136, 19: 1420}),
         (False, found_unbroken, {}),
     ):
-        cfg = SolverConfig(symmetry_breaking=sym, node_budget=10_000)
         for t in range(4, 20):
             want = (
                 (COLORABLE, found_at[t]) if t in found_at
                 else (NOT_COLORABLE, refuted[t]) if t in refuted
                 else over
             )  # fmt: skip
-            out = _searched(tree, t, cfg)
-            assert (out.status, out.nodes) == want, (sym, t)
+            out = _searched(tree, t, cfg, rules)
+            assert (out.status, out.nodes) == want, (rules, t)
     # the chromatic-index search: an odd cycle has no proper 2-coloring
     for n, nodes in ((5, 4), (7, 6), (9, 8)):
         out = solver._proper_search(gen_cycle(n))
@@ -696,9 +690,9 @@ def test_the_search_never_colors_above_the_reach_ceiling():
             g = build_graph(names, edges + rng.sample(others, min(rng.randrange(4), len(others))))
             delta = max(len(g.adjacency[v]) for v in g.vertices)
             for t in range(max(delta, g.reach_ceiling.bound + 1), len(g.edges) + 1):
-                for sym in (True, False):
-                    out = _searched(g, t, SolverConfig(symmetry_breaking=sym, node_budget=20_000))
-                    assert out.status != COLORABLE, (g.edges, t, sym)
+                for rules in (True, False):
+                    out = _searched(g, t, SolverConfig(node_budget=20_000), rules)
+                    assert out.status != COLORABLE, (g.edges, t, rules)
                     refuted += out.status == NOT_COLORABLE
                 out = decide(g, t)
                 assert (out.status, out.nodes) == (NOT_COLORABLE, 0)
