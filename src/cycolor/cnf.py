@@ -98,8 +98,8 @@ def _amo_families(g: Graph, t: int) -> list[_AmoFamily]:
     ladders' auxiliary variables follow x and a in this order."""
     n_edges = len(g.edges)
     families = [_AmoFamily(range(1, t + 1), t, n_edges, lambda k, names: f"edge {k} color <= ")]
-    for v_idx, v in enumerate(g.vertices):
-        firsts = [i * t + 1 for _, i in g.adjacency[v]]  # x(i, 1) of each edge i at v
+    for v_idx, incident in enumerate(g.incidence):
+        firsts = [i * t + 1 for i in incident]  # x(i, 1) of each edge i at v
         head = lambda k, names, v=v_idx: f"vertex {names[v]} color {k + 1} on its first "
         families.append(_AmoFamily(firsts, 1, t, head, " edges"))
     starts = range(n_edges * t + 1, n_edges * t + t + 1)  # a(v, s) is x(|E| + v, s)
@@ -194,10 +194,10 @@ class CnfEncoding:
         true_vars: set[int] = set()
         for e, c in enumerate(cert.colors):
             true_vars.add(self.edge_var(e, c))
-        for v_idx, v in enumerate(self.g.vertices):
-            arcs = arc_masks(len(self.g.adjacency[v]), self.t)
+        for v_idx, (v, incident) in enumerate(zip(self.g.vertices, self.g.incidence)):
+            arcs = arc_masks(len(incident), self.t)
             palette = 0
-            for _, i in self.g.adjacency[v]:
+            for i in incident:
                 palette |= 1 << (cert.colors[i] - 1)
             start = next(
                 (s for s in range(1, self.t + 1) if palette & ~arcs[s - 1] == 0), None
@@ -224,7 +224,7 @@ def _clause_count(g: Graph, t: int) -> int:
         + len(g.vertices)
         + sum(f.count * _amo_size(len(f.bases))[0] for f in _amo_families(g, t))
         + 2 * len(g.edges) * t
-        + sum(len(g.adjacency[v]) >= t for v in g.vertices)
+        + sum(len(incident) >= t for incident in g.incidence)
         + t
     )
 
@@ -262,8 +262,8 @@ def encode(g: Graph, t: int) -> CnfEncoding:
         clauses.extend(zip(ns[1:], ps, pb[1:-1]))  # s_i implies s_{i-1} or b_i
         clauses.extend(zip(nb[1:], ns))  # not both b_i and s_{i-1}
     cover_starts: dict[int, list[list[int]]] = {}  # per degree, per color
-    for v_idx, v in enumerate(g.vertices):
-        deg = len(g.adjacency[v])
+    for v_idx, incident in enumerate(g.incidence):
+        deg = len(incident)
         clauses.append(tuple(pos[a(v_idx, 1) : a(v_idx, t) + 1]))
         if deg >= t:
             clauses.append((pos[a(v_idx, 1)],))
@@ -276,7 +276,7 @@ def encode(g: Graph, t: int) -> CnfEncoding:
         starts = pos[a(v_idx, 1) - 1 : a(v_idx, t) + 1]  # starts[s] is a(v_idx, s)
         covers = [tuple(map(starts.__getitem__, cover)) for cover in cover_starts[deg]]
         # a color c on an edge at v puts v's arc start among covers[c - 1]
-        for _, e in g.adjacency[v]:
+        for e in incident:
             clauses.extend(map(add, zip(neg[x(e, 1) : x(e, t) + 1]), covers))
     # color c on some edge: x(e, c) = c + e*t for every e
     clauses.extend(tuple(pos[c : c + n_edges * t : t]) for c in colors)

@@ -8,6 +8,11 @@ edges behind the caller's back.
 The graph core never calls the search: the chromatic index, which needs
 it on non-bipartite graphs, lives in `cycolor.solver`.
 
+Every graph algorithm reads one integer form of a graph,
+`Graph.neighbours`, built from its one map of labels to indices;
+`adjacency` and `incidence` derive from it. ρ(G) and W(T) weigh a vertex
+path by its sum of deg - 1 and share one vertex-weighted Dijkstra, `_sweep`.
+
 `Graph.reach_ceiling` is the reach ceiling ρ(G), a bound on t above which
 no cyclically interval t-coloring exists. Take a vertex h and a coloring:
 h's palette is an arc of deg(h) colors. Along a vertex path h, v1, ..., vk,
@@ -15,27 +20,31 @@ consecutive edges share a palette, an arc of deg(v_i) colors, so their
 colors lie within deg(v_i) - 1 of each other, and an edge at vk has its
 color within sum over i of (deg(v_i) - 1) of h's arc. Let R_h be the
 largest such distance over the edges, each taken along its shortest path:
-a vertex-weighted Dijkstra from h, with weight deg - 1 on every vertex but
-h. Every color is used, and every color lies within R_h of an arc of
-deg(h) colors, so t <= deg(h) + 2 R_h. ρ(G) is the least of these over
-the roots h tried; any set of roots gives a sound ceiling.
+the sweep from h, with weight deg - 1 on every vertex but h. Every color
+is used, and every color lies within R_h of an arc of deg(h) colors, so
+t <= deg(h) + 2 R_h. ρ(G) is the least of these over the roots h tried;
+any set of roots gives a sound ceiling.
 
 `Graph.tree_width` is W(T) for a tree T: the largest sum over the vertices
 v of a path of deg(v) - 1, plus one, which is the number of edges at the
-path. A tree is cyclically interval t-colorable exactly when
-Δ <= t <= W(T). The width comes from two sweeps, each to the leaf farthest
-from where it starts, with vertex weights deg - 1; leaves weigh 0, so the
-second sweep ends a path of largest weight. The coloring comes from one
-walk down from the path's first vertex a, along the second sweep's parent
-pointers. Each vertex's palette is deg consecutive integers that starts
-at the color of the edge that reaches it (a's starts at 1). The child
-toward the path's far end takes the palette's top color, so the colors
-along the path climb from 1 to W(T), and the other children take the
-next colors up, in adjacency order. Two colors of an integer interval
-coloring differ by at most the sum of deg - 1 over the vertices between
-their edges, which is at most W(T) - 1, so every color stays in
-[1, W(T)]. That coloring folded mod t is a cyclically interval
-t-coloring for every t in [Δ, W(T)].
+path. In an integer interval coloring, each palette deg consecutive
+integers, two colors differ by at most the sum of deg - 1 over the
+vertices between their edges, at most W(T) - 1. A tree is cyclically
+interval t-colorable exactly when Δ <= t <= W(T). No t above: a valid
+t-coloring lifts along the tree, from one edge outward, to such a
+coloring, each palette, an arc of deg colors, becoming deg consecutive
+integers that hold the lift of the edge it was reached by; the lifts
+cover every residue mod t, so t - 1 <= W(T) - 1. Every t up to W(T): two
+sweeps, each to the leaf farthest from where it starts, end a path of
+largest weight (leaves weigh 0). One walk down from the path's first
+vertex a, along the second sweep's parent pointers, gives each vertex's
+palette the deg consecutive integers from the color of the edge that
+reaches it (from 1 at a); the child toward the path's far end takes the
+top one and the other children the next ones up, in adjacency order.
+The colors along the path climb from 1 to W(T), so the coloring spans
+[1, W(T)]. Folded mod t, c -> (c - 1) % t + 1, each palette of deg <= t
+consecutive integers becomes an arc of deg colors and every color is
+used: a cyclically interval t-coloring for every t in [Δ, W(T)].
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import InputError
 
@@ -87,28 +96,37 @@ class TreeWidth:
 class Graph:
     """Immutable graph, compared and hashed by its vertices and edges.
 
-    Properties derived from them (`adjacency`, `incidence`, `max_degree`,
-    `twin_classes`, `connected`, `reach_ceiling`, `tree_width`) are
-    computed on first use and kept, since the graph never changes; a
-    pickled copy carries the ones computed.
+    Properties derived from them (`neighbours`, `adjacency`, `incidence`,
+    `max_degree`, `twin_classes`, `connected`, `reach_ceiling`,
+    `tree_width`) are computed on first use and kept, since the graph never
+    changes; a pickled copy carries the ones computed.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
     @functools.cached_property
+    def neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each vertex's (neighbour index, edge index) pairs, in vertex order
+        and, at each vertex, in edge order: the graph's integer form."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        pairs: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
+        for e, (u, v) in enumerate(self.edges):
+            i, j = index[u], index[v]
+            pairs[i].append((j, e))
+            pairs[j].append((i, e))
+        return tuple(map(tuple, pairs))
+
+    @functools.cached_property
     def adjacency(self) -> dict[str, tuple[tuple[str, int], ...]]:
         """Each vertex's (neighbour, edge index) pairs, in edge order."""
-        adj: dict[str, list[tuple[str, int]]] = {v: [] for v in self.vertices}
-        for idx, (u, v) in enumerate(self.edges):
-            adj[u].append((v, idx))
-            adj[v].append((u, idx))
-        return {v: tuple(pairs) for v, pairs in adj.items()}
+        vs = self.vertices
+        return {v: tuple((vs[w], e) for w, e in pairs) for v, pairs in zip(vs, self.neighbours)}
 
     @functools.cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """The incident edge indices of each vertex, in vertex order."""
-        return tuple(tuple(idx for _, idx in self.adjacency[v]) for v in self.vertices)
+        return tuple(tuple(e for _, e in pairs) for pairs in self.neighbours)
 
     @functools.cached_property
     def max_degree(self) -> int:
@@ -121,21 +139,20 @@ class Graph:
         each set of two or more vertices with the same nonempty open
         neighbourhood, ordered by their first vertex. Twins are never
         adjacent, and any permutation of a class is an automorphism."""
-        classes: dict[frozenset[str], list[int]] = {}
-        for i, v in enumerate(self.vertices):
-            if self.adjacency[v]:
-                classes.setdefault(frozenset(w for w, _ in self.adjacency[v]), []).append(i)
+        classes: dict[frozenset[int], list[int]] = {}
+        for i, pairs in enumerate(self.neighbours):
+            if pairs:
+                classes.setdefault(frozenset(w for w, _ in pairs), []).append(i)
         return tuple(tuple(c) for c in classes.values() if len(c) > 1)
 
     @functools.cached_property
     def connected(self) -> bool:
         if not self.vertices:
             return True
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
+        seen = {0}
+        stack = [0]
         while stack:
-            u = stack.pop()
-            for w, _ in self.adjacency[u]:
+            for w, _ in self.neighbours[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -164,48 +181,48 @@ def _reach_ceiling(g: Graph) -> ReachCeiling:
         raise InputError("reach ceiling requires a connected graph")
     if not g.edges:
         return ReachCeiling(bound=0, root=None, arc=0, radius=0)
-    vid = {v: i for i, v in enumerate(g.vertices)}
-    nbrs = [[vid[w] for w, _ in g.adjacency[v]] for v in g.vertices]
-    weight = [len(ws) - 1 for ws in nbrs]
-    if len(nbrs) <= _REACH_ALL_ROOTS:
-        roots = range(len(nbrs))
+    degree = [len(pairs) for pairs in g.neighbours]
+    if len(degree) <= _REACH_ALL_ROOTS:
+        roots = range(len(degree))
     else:
-        roots = sorted({weight.index(max(weight)), weight.index(min(weight))})
+        roots = sorted({degree.index(max(degree)), degree.index(min(degree))})
     bound, witness = math.inf, (0, 0, 0)
     for h in roots:
-        arc = len(nbrs[h])
-        radius = _reach_radius(nbrs, weight, h, bound - arc)
-        if radius is not None:
-            bound, witness = arc + 2 * radius, (h, arc, radius)
+        arc = degree[h]
+        swept = _sweep(g, h, bound - arc)
+        if swept is not None:
+            bound, witness = arc + 2 * swept[2], (h, arc, swept[2])
     h, arc, radius = witness
     return ReachCeiling(bound=arc + 2 * radius, root=g.vertices[h], arc=arc, radius=radius)
 
 
-def _reach_radius(nbrs: list[list[int]], weight: list[int], h: int, cutoff: float) -> Optional[int]:
-    """R_h: the largest distance from h to an edge, where an edge is as far
-    as its nearer end and a path costs the weights of its vertices but h.
-    None as soon as an edge lies at a distance d with 2d >= cutoff: h then
-    cannot give a lower ceiling."""
+def _sweep(g: Graph, h: int, cutoff: float = math.inf):
+    """The vertex-weighted Dijkstra from h that ρ and W(T) share, where a
+    path costs deg - 1 at each of its vertices but h: (dist, parent, R_h),
+    with parent[h] = h and R_h the largest distance to an edge, an edge
+    being as far as its nearer end. None as soon as an edge lies at a
+    distance d with 2d >= cutoff: for ρ, h then gives no lower ceiling.
+    A vertex's weight is paid on entering it, so its first relaxation is
+    final and it enters the heap once."""
+    nbrs = g.neighbours
     dist = [math.inf] * len(nbrs)
     dist[h] = 0
-    done = [False] * len(nbrs)
+    parent = [-1] * len(nbrs)
+    parent[h] = h
     heap = [(0, h)]
     radius = 0
     while heap:
         d, v = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        for w in nbrs[v]:
-            if not done[w]:
-                # the edge vw is first reached here, at d
+        for w, _ in nbrs[v]:
+            if dist[w] >= d:  # the edge vw lies at d
                 if 2 * d >= cutoff:
                     return None
                 radius = d
-                if d + weight[w] < dist[w]:
-                    dist[w] = d + weight[w]
+                if parent[w] < 0:
+                    dist[w] = d + len(nbrs[w]) - 1
+                    parent[w] = v
                     heapq.heappush(heap, (dist[w], w))
-    return radius
+    return dist, parent, radius
 
 
 def _tree_width(g: Graph) -> TreeWidth:
@@ -213,11 +230,14 @@ def _tree_width(g: Graph) -> TreeWidth:
     end a that colors every edge."""
     if not g.edges:
         return TreeWidth(width=0, path=g.vertices, lift=())
-    vid = {v: i for i, v in enumerate(g.vertices)}
-    nbrs = [[(vid[w], e) for w, e in g.adjacency[v]] for v in g.vertices]
-    degree = [len(ws) for ws in nbrs]
-    a, _ = _farthest_leaf(nbrs, degree, 0)
-    b, parent = _farthest_leaf(nbrs, degree, a)
+    nbrs = g.neighbours
+    degree = [len(pairs) for pairs in nbrs]
+    leaves = [v for v, d in enumerate(degree) if d == 1]
+    # each sweep ends at the farthest leaf but its root, the first in vertex order among ties
+    dist, _, _ = _sweep(g, 0)
+    a = max((v for v in leaves if v != 0), key=dist.__getitem__)
+    dist, parent, _ = _sweep(g, a)
+    b = max((v for v in leaves if v != a), key=dist.__getitem__)
     path = [b]
     toward = [-1] * len(nbrs)  # each path vertex's child toward b
     while path[-1] != a:
@@ -244,26 +264,6 @@ def _tree_width(g: Graph) -> TreeWidth:
     return TreeWidth(width=width, path=tuple(g.vertices[v] for v in path), lift=tuple(lift))
 
 
-def _farthest_leaf(nbrs: list[list[tuple[int, int]]], degree: list[int], root: int):
-    """The leaf other than root that is farthest from root, where a path
-    weighs the sum of deg - 1 over its vertices (the first in vertex order
-    among ties), and the parent of each vertex on the way from root."""
-    parent = [-1] * len(nbrs)
-    parent[root] = root
-    dist = [0] * len(nbrs)
-    dist[root] = degree[root] - 1
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w, _ in nbrs[v]:
-            if parent[w] < 0:
-                parent[w] = v
-                dist[w] = dist[v] + degree[w] - 1
-                stack.append(w)
-    leaves = [v for v in range(len(nbrs)) if degree[v] == 1 and v != root]
-    return max(leaves, key=dist.__getitem__), parent
-
-
 @dataclass(frozen=True)
 class Bipartition:
     left: frozenset[str]
@@ -275,8 +275,10 @@ class NotBipartite:
     odd_cycle: tuple[str, ...]
 
 
-def build_graph(vertices: list[str], edges: list[tuple[str, str]]) -> Graph:
-    """Validate and freeze a graph. Preserves vertex and edge order exactly."""
+def build_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> Graph:
+    """Validate and freeze a graph. Preserves vertex and edge order exactly.
+    Reads each input once, so either may be any iterable."""
+    vertices, edges = tuple(vertices), tuple(edges)
     if not all(isinstance(v, str) for v in vertices):
         raise InputError("'vertices' must be a list of strings")
     for e in edges:
@@ -299,7 +301,7 @@ def build_graph(vertices: list[str], edges: list[tuple[str, str]]) -> Graph:
         if key in seen_e:
             raise InputError(f"edge {{{u!r}, {v!r}}} listed twice")
         seen_e.add(key)
-    return Graph(vertices=tuple(vertices), edges=tuple((u, v) for u, v in edges))
+    return Graph(vertices=vertices, edges=tuple((u, v) for u, v in edges))
 
 
 def require_match(g: Graph, coloring) -> None:

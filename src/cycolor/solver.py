@@ -61,30 +61,20 @@ Certificates are re-verified with the checker before being returned.
   - t below the max degree Δ: "t=T below max degree D: properness
     impossible", as a vertex of degree Δ needs Δ colors;
   - t above |E|: "t=T exceeds edge count E: some color must go unused";
-  - on a tree, t above its width W(T) (`Graph.tree_width`): "t=T exceeds
-    tree width W, the most edges at one path (A to B): a coloring lifted
-    along the tree spans at most W colors";
+  - on a tree, t above its width W(T) (`Graph.tree_width`, where the
+    proof is): "t=T exceeds tree width W, the most edges at one path (A to
+    B): a coloring lifted along the tree spans at most W colors";
   - t above the reach ceiling ρ(G) (`Graph.reach_ceiling`, where the
     proof is): "t=T exceeds reach ceiling P: every color lies within R
     of the D-color arc of H, so t <= P". Each color is within R of the
     arc of the palette at H, and those colors number at most D + 2R;
   - an exhaustive search: "exhaustive search".
 
-The tree-width refutation is this. Lift a valid t-coloring of a tree to
-the integers along the tree: from one edge outward, each palette, an arc
-of deg colors, becomes deg consecutive integers holding the lift of the
-edge it was reached by. The lifts cover every residue mod t, so the
-least and the largest lift differ by at least t - 1. Along the tree path
-between their edges, consecutive edges share a palette, so the lift moves
-by at most deg - 1 at each vertex, and t - 1 <= W(T) - 1.
-
-On a tree, every t in [Δ, W(T)] is colorable: `Graph.tree_width` holds an
-integer interval coloring of span W(T), and folded mod t, c -> (c - 1) % t
-+ 1, each palette of deg <= t consecutive integers becomes an arc of deg
-colors and the span covers every color. Its reason is "interval coloring
-of tree width W folded mod T". All of these but the search report 0 nodes;
-on a tree no t reads the reach ceiling or searches. Running out of budget
-is its own outcome.
+On a tree, every t in [Δ, W(T)] is colorable by `Graph.tree_width`'s
+interval coloring folded mod t; its reason is "interval coloring of tree
+width W folded mod T". All of these but the search report 0 nodes; on a
+tree no t reads the reach ceiling or searches. Running out of budget is
+its own outcome.
 
 `brute_force_decide` is the deliberately independent ground truth: it
 enumerates every assignment in lexicographic order and shares no search
@@ -218,9 +208,10 @@ class _Plan:
 
 
 def _plan(g: Graph) -> _Plan:
-    """The search order, with vertex ids and the parts of the symmetry rules
-    that do not depend on t: position p places edge order[p], whose
-    endpoints have vertex ids eu[p] and ev[p], and degree is per vertex id.
+    """The search order, with the parts of the symmetry rules that do not
+    depend on t, over the vertex ids of `Graph.neighbours`: position p
+    places edge order[p], whose endpoints, as the edge lists them, are eu[p]
+    and ev[p], and degree is per vertex id.
 
     The order is connected depth-first. Its root h is the first vertex of
     maximum degree. A stack of vertices starts with h; popping u appends
@@ -240,22 +231,21 @@ def _plan(g: Graph) -> _Plan:
     n_edges = len(g.edges)
     if not g.vertices:
         return _Plan(order=(), eu=(), ev=(), degree=(), gt=(0,), head=0)
-    vid = {v: i for i, v in enumerate(g.vertices)}
-    degree = tuple(len(g.adjacency[v]) for v in g.vertices)
-    nbrs = [
-        sorted(((vid[w], e) for w, e in g.adjacency[v]), key=lambda we: (-degree[we[0]], we[1]))
-        for v in g.vertices
-    ]
+    nbrs = g.neighbours
+    degree = tuple(map(len, nbrs))
     h = degree.index(max(degree))
     order: list[int] = []
+    ends: list[tuple[int, int]] = []  # (eu, ev) at each position
     placed = [False] * n_edges
     seen = {h}
     stack = [h]
     while stack:
-        for w, e in nbrs[stack.pop()]:
+        u = stack.pop()
+        for w, e in sorted(nbrs[u], key=lambda we: (-degree[we[0]], we[1])):
             if not placed[e]:
                 placed[e] = True
                 order.append(e)
+                ends.append((u, w) if g.edges[e][0] == g.vertices[u] else (w, u))
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -274,8 +264,8 @@ def _plan(g: Graph) -> _Plan:
             gt[b] = a
         if x == h:
             firsts_at_h.append(chain[0])
-    eu = tuple(vid[g.edges[e][0]] for e in order)
-    ev = tuple(vid[g.edges[e][1]] for e in order)
+    eu = tuple(u for u, _ in ends)
+    ev = tuple(v for _, v in ends)
     return _Plan(tuple(order), eu, ev, degree, tuple(gt), min(firsts_at_h, default=0))
 
 

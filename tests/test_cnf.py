@@ -70,6 +70,9 @@ def test_model_from_coloring_rejects_mismatch():
         enc.model_from_coloring(Coloring(3, (1, 2)))
     with pytest.raises(InputError, match='coloring does not match this encoding'):
         enc.model_from_coloring(Coloring(2, (1, 2, 1)))
+    # colors 1 and 3 at v2 fit no arc of 2 of 4 colors
+    with pytest.raises(InputError, match='palette at v2 fits no arc; coloring is not valid'):
+        encode(gen_path(2), 4).model_from_coloring(Coloring(4, (1, 3)))
 
 
 def test_decode_model_demands_exactly_one_color():
@@ -78,6 +81,11 @@ def test_decode_model_demands_exactly_one_color():
         enc.decode_model(set())
     with pytest.raises(InputError, match='model sets 2 colors on edge 0'):
         enc.decode_model({enc.edge_var(0, 1), enc.edge_var(0, 2), enc.edge_var(1, 1)})
+    # one color on each edge, but the same one at v2: the checker refuses it
+    clash = {enc.edge_var(0, 1), enc.edge_var(1, 1)}
+    with pytest.raises(InputError, match='decoded model fails the checker'):
+        enc.decode_model(clash)
+    assert enc.decode_model(clash, verify=False) == Coloring(2, (1, 1))
 
 
 def test_exhaustive_model_count_matches_coloring_count():

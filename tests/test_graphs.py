@@ -42,10 +42,13 @@ def _k4():
 
 
 def test_build_preserves_order_and_indexes_adjacency():
-    g = build_graph(["x", "y", "z"], [("x", "y"), ("y", "z")])
-    assert g.vertices == ("x", "y", "z")
-    assert g.edges == (("x", "y"), ("y", "z"))
-    assert g.adjacency["y"] == (("x", 0), ("z", 1))
+    vertices, edges = ["x", "y", "z"], [("x", "y"), ("y", "z")]
+    # each input is read once, so a generator serves as well as a list
+    for vs, es in ((vertices, edges), (iter(vertices), edges), (vertices, iter(edges))):
+        g = build_graph(vs, es)
+        assert g.vertices == ("x", "y", "z")
+        assert g.edges == (("x", "y"), ("y", "z"))
+        assert g.adjacency["y"] == (("x", 0), ("z", 1))
 
 
 def test_twin_classes_group_equal_open_neighbourhoods():
@@ -72,8 +75,9 @@ def test_build_rejects_bad_input():
         build_graph(["a", "b"], [("a", "b"), ("b", "a")])
     with pytest.raises(InputError, match="^vertex 'a' listed twice"):
         build_graph(["a", "a"], [])
-    with pytest.raises(InputError, match="'c' is not a vertex"):
-        build_graph(["a", "b"], [("a", "c")])
+    for edge in (("a", "c"), ("c", "a")):
+        with pytest.raises(InputError, match="edge endpoint 'c' is not a vertex"):
+            build_graph(["a", "b"], [edge])
     # labels are strings and an edge is a pair of them, as from_json reads them
     for edge in (("a", "b", "c"), ("a",), "ab", ("a", None)):
         with pytest.raises(InputError, match=re.escape(f"malformed edge entry: {edge!r}")):
@@ -110,9 +114,10 @@ def test_bipartition_of_even_cycle():
 
 
 def test_bipartition_certifies_every_edge_crosses():
-    for g in (gen_cycle(6), gen_complete_bipartite(2, 3), gen_gm(3)):
+    for g in (gen_cycle(6), gen_complete_bipartite(2, 3), gen_gm(3), build_graph([], [])):
         parts = bipartition(g)
         assert isinstance(parts, Bipartition)
+        assert parts.left | parts.right == set(g.vertices)
         for u, v in g.edges:
             assert (u in parts.left) != (v in parts.left)
 
@@ -236,8 +241,14 @@ def test_json_rejects_malformed_payloads():
         from_json('{"vertices": ["a"]}')
     with pytest.raises(InputError, match='malformed edge entry'):
         from_json('{"vertices": ["a", "b"], "edges": [["a"]]}')
-    with pytest.raises(InputError, match="'vertices' must be a list of strings"):
-        from_json('{"vertices": [1], "edges": []}')
+    # a string is a sequence of labels or pairs, but not a list
+    for payload, message in (
+        ('{"vertices": [1], "edges": []}', "'vertices' must be a list of strings"),
+        ('{"vertices": "ab", "edges": []}', "'vertices' must be a list of strings"),
+        ('{"vertices": ["a", "b"], "edges": "ab"}', "'edges' must be a list of two-element lists"),
+    ):
+        with pytest.raises(InputError, match=message):
+            from_json(payload)
 
 
 def test_dot_output_with_and_without_colors():
@@ -287,26 +298,69 @@ def _random_connected(rng, n, extra):
     return build_graph(names, edges)
 
 
-def _ceiling_by_relaxation(g, roots):
-    """min over the roots h of deg(h) + 2 R_h, with R_h from a plain
-    relaxation to a fixed point: D(h) = 0, D(w) <= D(v) + deg(w) - 1 for
-    each neighbour w of v, and an edge as far as its nearer end."""
+def _distances_by_relaxation(g, h):
+    """The distances from h by a plain relaxation to a fixed point:
+    D(h) = 0 and D(w) <= D(v) + deg(w) - 1 for each neighbour w of v."""
     deg = {v: len(g.adjacency[v]) for v in g.vertices}
+    dist = {v: math.inf for v in g.vertices}
+    dist[h] = 0
+    changed = True
+    while changed:
+        changed = False
+        for a, b in g.edges:
+            for u, w in ((a, b), (b, a)):
+                if dist[u] + deg[w] - 1 < dist[w]:
+                    dist[w] = dist[u] + deg[w] - 1
+                    changed = True
+    return dist
+
+
+def _ceiling_by_relaxation(g, roots):
+    """min over the roots h of deg(h) + 2 R_h, with R_h from
+    `_distances_by_relaxation` and an edge as far as its nearer end."""
     best = math.inf
     for h in roots:
-        dist = {v: math.inf for v in g.vertices}
-        dist[h] = 0
-        changed = True
-        while changed:
-            changed = False
-            for a, b in g.edges:
-                for u, w in ((a, b), (b, a)):
-                    if dist[u] + deg[w] - 1 < dist[w]:
-                        dist[w] = dist[u] + deg[w] - 1
-                        changed = True
+        dist = _distances_by_relaxation(g, h)
         radius = max(min(dist[a], dist[b]) for a, b in g.edges)
-        best = min(best, deg[h] + 2 * radius)
+        best = min(best, len(g.adjacency[h]) + 2 * radius)
     return best
+
+
+# The benchmark's trees: gen_random_tree(n, seed) for each group of
+# bench/inputs.py's TREE_GROUPS.
+_BENCH_TREES = [(20, s) for s in (1, 5, 6, 9)] + [(24, s) for s in (4, 15, 32)]
+_BENCH_TREES += [(28, s) for s in (1, 7, 11, 27)]
+
+
+def test_neighbours_is_the_one_integer_form_of_the_graph():
+    """`neighbours` lists, by vertex and edge index, the pairs that the edge
+    list gives each vertex, in the order of `adjacency` and `incidence`, and
+    a pickled graph carries it. The sweep from every root finds the
+    distances of a plain relaxation, a parent on a shortest path to each
+    vertex, and R_h."""
+    rng = random.Random(2026)
+    cases = [_random_connected(rng, n, rng.randrange(5)) for n in range(2, 14) for _ in range(8)]
+    cases += [gen_gm(m) for m in (2, 3, 4)] + [gen_random_tree(n, s) for n, s in _BENCH_TREES]
+    for g in cases:
+        want = {v: [] for v in g.vertices}
+        for e, (u, v) in enumerate(g.edges):
+            want[u].append((v, e))
+            want[v].append((u, e))
+        for i, v in enumerate(g.vertices):
+            pairs = g.neighbours[i]
+            assert [(g.vertices[w], e) for w, e in pairs] == want[v] == list(g.adjacency[v])
+            assert tuple(e for _, e in pairs) == g.incidence[i]
+        assert pickle.loads(pickle.dumps(g)).__dict__["neighbours"] == g.neighbours
+        for h, root in enumerate(g.vertices):
+            dist, parent, radius = graphs._sweep(g, h)
+            relaxed = _distances_by_relaxation(g, root)
+            assert dist == [relaxed[v] for v in g.vertices], (g.edges, root)
+            assert parent[h] == h
+            for v, p in enumerate(parent):
+                if v != h:
+                    assert dist[v] == dist[p] + len(g.neighbours[v]) - 1
+                    assert p in {w for w, _ in g.neighbours[v]}
+            assert radius == max(min(relaxed[a], relaxed[b]) for a, b in g.edges)
 
 
 def test_reach_ceiling_matches_a_plain_relaxation(monkeypatch):
