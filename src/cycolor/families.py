@@ -49,18 +49,6 @@ def _require_edge_count(graph: str, edges: int) -> None:
         raise BudgetError(f"{graph} would have {edges} edges, past the cap {EDGE_CAP}")
 
 
-def hub_label() -> str:
-    return "x0"
-
-
-def pair_label(i: int, j: int) -> str:
-    return f"x_{i}_{j}"
-
-
-def grid_label(p: int, q: int) -> str:
-    return f"y_{p}_{q}"
-
-
 def gen_gm(m: int) -> Graph:
     """Build the hub-and-grid graph for a given m >= 2.
 
@@ -70,19 +58,17 @@ def gen_gm(m: int) -> Graph:
     """
     _require_size("m must be an integer >= 2", 2, m)
     _require_edge_count(f"gm({m})", m**3)
-    vertices = [hub_label()]
-    vertices += [pair_label(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-    vertices += [grid_label(p, q) for p in range(1, m + 1) for q in range(1, m + 1)]
+    vertices = ["x0"]
+    vertices += [f"x_{i}_{j}" for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    vertices += [f"y_{p}_{q}" for p in range(1, m + 1) for q in range(1, m + 1)]
     edges: list[tuple[str, str]] = [
-        (hub_label(), grid_label(p, q))
-        for p in range(1, m + 1)
-        for q in range(1, m + 1)
+        ("x0", f"y_{p}_{q}") for p in range(1, m + 1) for q in range(1, m + 1)
     ]
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             for q in range(1, m + 1):
-                edges.append((pair_label(i, j), grid_label(i, q)))
-                edges.append((pair_label(i, j), grid_label(j, q)))
+                edges.append((f"x_{i}_{j}", f"y_{i}_{q}"))
+                edges.append((f"x_{i}_{j}", f"y_{j}_{q}"))
     return build_graph(vertices, edges)
 
 

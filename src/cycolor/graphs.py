@@ -10,8 +10,10 @@ it on non-bipartite graphs, lives in `cycolor.solver`.
 
 Every graph algorithm reads one integer form of a graph,
 `Graph.neighbours`, built from its one map of labels to indices;
-`adjacency` and `incidence` derive from it. ρ(G) and W(T) weigh a vertex
-path by its sum of deg - 1 and share one vertex-weighted Dijkstra, `_sweep`.
+`adjacency` and `incidence` derive from it. Connectivity and the
+bipartition read one breadth-first tree from the first vertex,
+`Graph._bfs_tree`. ρ(G) and W(T) weigh a vertex path by its sum of
+deg - 1 and share one vertex-weighted Dijkstra, `_sweep`.
 
 `Graph.reach_ceiling` is the reach ceiling ρ(G), a bound on t above which
 no cyclically interval t-coloring exists. Take a vertex h and a coloring:
@@ -49,7 +51,6 @@ used: a cyclically interval t-coloring for every t in [Δ, W(T)].
 
 from __future__ import annotations
 
-import collections
 import functools
 import heapq
 import json
@@ -99,7 +100,9 @@ class Graph:
     Properties derived from them (`neighbours`, `adjacency`, `incidence`,
     `max_degree`, `twin_classes`, `connected`, `reach_ceiling`,
     `tree_width`) are computed on first use and kept, since the graph never
-    changes; a pickled copy carries the ones computed.
+    changes; a pickled copy carries the ones computed. `connected` and
+    `bipartition` read one breadth-first tree, and `reach_ceiling` and
+    `tree_width` one weighted sweep.
     """
 
     vertices: tuple[str, ...]
@@ -146,17 +149,33 @@ class Graph:
         return tuple(tuple(c) for c in classes.values() if len(c) > 1)
 
     @functools.cached_property
+    def _bfs_tree(self) -> tuple[tuple[int, ...], tuple[int, ...], Optional[tuple[int, int]]]:
+        """The breadth-first search from the first vertex, each vertex's
+        neighbours in their order: (depth, parent, level_edge), with depth
+        -1 for a vertex it never reaches, the root its own parent, and
+        level_edge the first edge (u, w) it meets between two vertices of
+        equal depth, or None."""
+        nbrs = self.neighbours
+        depth = [-1] * len(nbrs)
+        parent = [-1] * len(nbrs)
+        level_edge = None
+        if nbrs:
+            depth[0] = parent[0] = 0
+            queue = [0]
+            for u in queue:  # the queue grows while it is read
+                d = depth[u]
+                for w, _ in nbrs[u]:
+                    if depth[w] < 0:
+                        depth[w] = d + 1
+                        parent[w] = u
+                        queue.append(w)
+                    elif depth[w] == d and level_edge is None:
+                        level_edge = (u, w)
+        return tuple(depth), tuple(parent), level_edge
+
+    @functools.cached_property
     def connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w, _ in self.neighbours[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+        return -1 not in self._bfs_tree[0]
 
     @functools.cached_property
     def reach_ceiling(self) -> ReachCeiling:
@@ -313,49 +332,27 @@ def require_match(g: Graph, coloring) -> None:
 
 
 def bipartition(g: Graph) -> Union[Bipartition, NotBipartite]:
-    """Two-color the vertices by BFS, or return an odd cycle as a witness.
+    """Two-color the vertices by the parity of their breadth-first depth,
+    or return an odd cycle as a witness.
 
     Requires a connected graph. Sides are canonical: `left` is the side
-    containing the first vertex.
+    containing the first vertex. The witness is the first edge met between
+    two vertices of equal depth, closed by their parent chains, climbed in
+    step up to where they meet.
     """
     if not g.connected:
         raise InputError("bipartition requires a connected graph")
-    if not g.vertices:
-        return Bipartition(frozenset(), frozenset())
-    root = g.vertices[0]
-    depth: dict[str, int] = {root: 0}
-    parent: dict[str, Optional[str]] = {root: None}
-    queue = collections.deque([root])
-    while queue:
-        u = queue.popleft()
-        for w, _ in g.adjacency[u]:
-            if w not in depth:
-                depth[w] = depth[u] + 1
-                parent[w] = u
-                queue.append(w)
-            elif depth[w] == depth[u] and w != parent[u]:
-                # Same BFS level: the two root paths + this edge close an odd cycle.
-                return NotBipartite(_odd_cycle_witness(u, w, parent))
-    left = frozenset(v for v in g.vertices if depth[v] % 2 == 0)
-    right = frozenset(v for v in g.vertices if depth[v] % 2 == 1)
-    return Bipartition(left, right)
-
-
-def _odd_cycle_witness(u: str, w: str, parent: dict[str, Optional[str]]) -> tuple[str, ...]:
-    """Join the parent chains of u and w at their lowest common ancestor."""
-
-    def chain(v: str) -> list[str]:
-        out = [v]
-        while parent[out[-1]] is not None:
-            out.append(parent[out[-1]])  # type: ignore[arg-type]
-        return out
-
-    up, wp = chain(u), chain(w)
-    ancestors = set(up)
-    meet = next(v for v in wp if v in ancestors)
-    head = up[: up.index(meet) + 1]          # u .. meet
-    tail = wp[: wp.index(meet)][::-1]        # meet-child .. w
-    return tuple(head + tail)
+    depth, parent, level_edge = g._bfs_tree
+    if level_edge is not None:
+        up, down = [level_edge[0]], [level_edge[1]]  # equal depths, so they meet in step
+        while up[-1] != down[-1]:
+            up.append(parent[up[-1]])
+            down.append(parent[down[-1]])
+        return NotBipartite(tuple(g.vertices[v] for v in up + down[-2::-1]))
+    return Bipartition(
+        frozenset(v for v, d in zip(g.vertices, depth) if d % 2 == 0),
+        frozenset(v for v, d in zip(g.vertices, depth) if d % 2 == 1),
+    )
 
 
 # --- interchange -------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import types
 
 import pytest
 
@@ -22,7 +23,7 @@ from cycolor.audit import (
     step_to_dict,
     summary_to_dict,
 )
-from cycolor.errors import BudgetError, UsageError
+from cycolor.errors import BudgetError, InternalError, UsageError
 
 
 def _step(report, name):
@@ -261,6 +262,25 @@ def test_audit_range_refuses_more_m_than_its_cap(monkeypatch):
     assert [e.m for e in audit_range(2, 4).entries] == [2, 3, 4]
     with pytest.raises(BudgetError, match=r"\[2, 5\] holds 4 values"):
         audit_range(2, 5)
+
+
+@pytest.mark.parametrize(
+    "passes, message",
+    [
+        # k0 = 0 passes and k0 = m^3 - m^2 fails
+        (lambda k0: k0 == 0, "monotonicity violated at m=2: k0=0 passes but k0=4 fails"),
+        # both endpoints fail, but k0 = 1 passes before k0 = 2 fails
+        (lambda k0: k0 == 1, "k0 sweep at m=2 is not upward-closed"),
+    ],
+    ids=["endpoints", "sweep"],
+)
+def test_audit_range_self_checks_refuse_a_non_monotone_k0_range(monkeypatch, passes, message):
+    def facts(m, k0):
+        return types.SimpleNamespace(steps=(passes(k0),))
+
+    monkeypatch.setattr(importlib.import_module("cycolor.audit"), "_facts", facts)
+    with pytest.raises(InternalError, match=f"^{message}$"):
+        audit_range(2, 2)
 
 
 def test_audit_range_validation():

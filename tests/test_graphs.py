@@ -145,6 +145,44 @@ def test_nonbipartite_with_chords():
     assert len(res.odd_cycle) % 2 == 1
 
 
+def test_bipartition_output_is_pinned():
+    """The exact sides and witness tuples: breadth-first from the first
+    vertex, neighbours in edge order, the first edge met between two
+    vertices of equal depth closing the cycle."""
+    diamond = build_graph(
+        ["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "c"), ("b", "d"), ("c", "d")]
+    )
+    gm2 = gen_gm(2)
+    chorded = build_graph(gm2.vertices, gm2.edges + (("y_1_1", "y_2_2"),))
+    # a 5-cycle hung off r: the parent chains meet at a, below the root
+    tail = build_graph(
+        ["r", "a", "b", "c", "d", "e"],
+        [("r", "a"), ("a", "b"), ("a", "c"), ("b", "d"), ("c", "e"), ("d", "e")],
+    )
+    for g, cycle in (
+        (gen_cycle(5), ("v3", "v2", "v1", "v5", "v4")),
+        (gen_cycle(7), ("v4", "v3", "v2", "v1", "v7", "v6", "v5")),
+        (diamond, ("b", "a", "c")),
+        (_k4(), ("b", "a", "c")),
+        (chorded, ("y_1_1", "x0", "y_2_2")),
+        (tail, ("d", "b", "a", "c", "e")),
+    ):
+        assert bipartition(g) == NotBipartite(cycle)
+    assert bipartition(gm2) == Bipartition(
+        frozenset(["x0", "x_1_2"]), frozenset(["y_1_1", "y_1_2", "y_2_1", "y_2_2"])
+    )
+    assert bipartition(gen_cycle(6)) == Bipartition(
+        frozenset(["v1", "v3", "v5"]), frozenset(["v2", "v4", "v6"])
+    )
+    assert bipartition(build_graph(["a"], [])) == Bipartition(frozenset(["a"]), frozenset())
+    # refused before any witness is sought, though the second part is a triangle
+    two_parts = build_graph(
+        ["a", "b", "c", "d", "e"], [("a", "b"), ("c", "d"), ("d", "e"), ("e", "c")]
+    )
+    with pytest.raises(InputError, match="^bipartition requires a connected graph$"):
+        bipartition(two_parts)
+
+
 def test_gm_bipartition_separates_hub_side_from_grid():
     g = gen_gm(3)
     parts = bipartition(g)
